@@ -222,7 +222,7 @@ func BenchmarkTable1_SDEH2B(b *testing.B) {
 	if _, err := srv.CreateInstance(); err != nil {
 		b.Fatal(err)
 	}
-	caller := &h2b.Caller{Endpoint: srv.(*h2b.Server).Endpoint(), Mux: srv.(*h2b.Server).MuxAddr()}
+	caller := &h2b.Caller{Endpoint: srv.(*h2b.Server).Endpoint()}
 	sig := echoSig()
 	args := []dyn.Value{dyn.StringValue(benchPayload)}
 	ctx := context.Background()
@@ -352,7 +352,7 @@ func BenchmarkTable1_SDEH2BParallel(b *testing.B) {
 	if _, err := srv.CreateInstance(); err != nil {
 		b.Fatal(err)
 	}
-	caller := &h2b.Caller{Endpoint: srv.(*h2b.Server).Endpoint(), Mux: srv.(*h2b.Server).MuxAddr()}
+	caller := &h2b.Caller{Endpoint: srv.(*h2b.Server).Endpoint()}
 	sig := echoSig()
 	args := []dyn.Value{dyn.StringValue(benchPayload)}
 	ctx := context.Background()

@@ -215,15 +215,11 @@ func printWSDL(doc ifsvr.Document) error {
 }
 
 func printH2B(doc ifsvr.Document) error {
-	desc, endpoint, mux, err := h2b.ParseDoc(doc.Content)
+	desc, endpoint, err := h2b.ParseDoc(doc.Content)
 	if err != nil {
 		return fmt.Errorf("parsing h2b descriptor: %w", err)
 	}
-	fmt.Printf("class %s at %s", desc.ClassName, endpoint)
-	if mux != "" {
-		fmt.Printf(" (mux %s)", mux)
-	}
-	fmt.Println()
+	fmt.Printf("class %s at %s\n", desc.ClassName, endpoint)
 	for _, m := range desc.Methods {
 		fmt.Println("  ", m)
 	}

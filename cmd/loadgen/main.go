@@ -167,7 +167,6 @@ type deployment struct {
 	slowEP     string
 	jsonEP     string
 	h2bEP      string
-	h2bMux     string
 	evolveURL  string
 	httpBase   string
 	ifaceAddr  string
@@ -227,7 +226,6 @@ func deploy(ifaceAddr, httpAddr, corbaAddr, dataDir string, classes map[string]*
 		return nil, err
 	}
 	d.h2bEP = h2bSrv.(*h2b.Server).Endpoint()
-	d.h2bMux = h2bSrv.(*h2b.Server).MuxAddr()
 	if d.evolveSrv, err = reg("Evolving", core.TechSOAP); err != nil {
 		_ = mgr.Close()
 		return nil, err
@@ -335,9 +333,8 @@ func run() int {
 		return func(ctx context.Context) error { _, err := caller.Call(ctx, sig, args); return err }
 	}
 	h2bCall := func() func(context.Context) error {
-		// No Mux fast path: the dedicated mux listener gets a fresh port on
-		// restart, while the shared h2c endpoint — the thing Drain actually
-		// drains — keeps its address, so callers reconnect to it cleanly.
+		// h2b calls ride h2x on the shared endpoint port, which Drain
+		// drains with GOAWAY and the restart rebinds on the same address.
 		caller := &h2b.Caller{Endpoint: d.h2bEP}
 		return func(ctx context.Context) error { _, err := caller.Call(ctx, sig, args); return err }
 	}

@@ -68,7 +68,7 @@ func TestSOAPBackendEndpointUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Call("op"); err == nil {
+	if _, err := client.CallContext(context.Background(), "op"); err == nil {
 		t.Error("call to a dead endpoint should fail")
 	}
 }
@@ -81,7 +81,7 @@ func TestSOAPBackendArgChecks(t *testing.T) {
 	}
 	defer client.Close()
 	// Arity is checked client-side before any network traffic.
-	if _, err := client.Call("op", dyn.Int32Value(1)); err == nil {
+	if _, err := client.CallContext(context.Background(), "op", dyn.Int32Value(1)); err == nil {
 		t.Error("arity mismatch should fail client-side")
 	}
 }
@@ -176,7 +176,7 @@ func TestCORBABackendIDLFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Call("op"); err != nil {
+	if _, err := client.CallContext(context.Background(), "op"); err != nil {
 		t.Errorf("valid setup should call: %v", err)
 	}
 }

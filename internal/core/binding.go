@@ -13,8 +13,10 @@ import (
 // (interface generator + DL Publisher + call handler, the Figure 4/5 shape)
 // for one managed class, using the Manager's shared services: the Interface
 // Server for publication (Manager.InterfaceServer, Manager.NewPublisher),
-// the shared HTTP endpoint host for HTTP transports (Manager.MountHTTP), or
-// its own listener for custom transports (the CORBA binding does this).
+// the shared endpoint listener for HTTP transports (Manager.MountHTTP for
+// net/http handlers, Manager.MountH2 for cleartext HTTP/2 ones), or its
+// own listener for custom transports (the CORBA binding's IIOP port is
+// the only one in tree).
 //
 // Implementations must:
 //   - publish an initial interface description before Serve returns

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ func TestCORBAHandlerStats(t *testing.T) {
 	m := newManager(t)
 	cs, client, class, _ := startCORBA(t, m, "CStats")
 
-	if _, err := client.Call("add", dyn.Int32Value(1), dyn.Int32Value(2)); err != nil {
+	if _, err := client.CallContext(context.Background(), "add", dyn.Int32Value(1), dyn.Int32Value(2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := class.AddMethod(dyn.MethodSpec{
@@ -31,10 +32,10 @@ func TestCORBAHandlerStats(t *testing.T) {
 	srv, _ := m.Server("CStats")
 	srv.Publisher().PublishNow()
 	srv.Publisher().WaitIdle()
-	if _, err := client.Call("bad"); err == nil {
+	if _, err := client.CallContext(context.Background(), "bad"); err == nil {
 		t.Fatal("bad should fail")
 	}
-	if _, err := client.Call("ghost"); !errors.Is(err, cde.ErrNoSuchStub) {
+	if _, err := client.CallContext(context.Background(), "ghost"); !errors.Is(err, cde.ErrNoSuchStub) {
 		t.Fatalf("ghost: %v", err)
 	}
 	// Force a genuine remote stale call: lie to the backend via a stale
@@ -43,7 +44,7 @@ func TestCORBAHandlerStats(t *testing.T) {
 	if err := class.RenameMethod(id, "plus"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Call("add", dyn.Int32Value(1), dyn.Int32Value(2)); !errors.Is(err, cde.ErrStaleMethod) {
+	if _, err := client.CallContext(context.Background(), "add", dyn.Int32Value(1), dyn.Int32Value(2)); !errors.Is(err, cde.ErrStaleMethod) {
 		t.Fatalf("stale: %v", err)
 	}
 
@@ -73,7 +74,7 @@ func TestConcurrentCORBACallsDuringLiveEdits(t *testing.T) {
 					return
 				default:
 				}
-				got, err := client.Call("add", dyn.Int32Value(3), dyn.Int32Value(4))
+				got, err := client.CallContext(context.Background(), "add", dyn.Int32Value(3), dyn.Int32Value(4))
 				switch {
 				case err == nil:
 					if got.Int32() != 7 {
@@ -146,7 +147,7 @@ func TestAutoRefreshRegularUpdatePath(t *testing.T) {
 	if client.Stats().StaleFaults != 0 {
 		t.Errorf("stats = %+v", client.Stats())
 	}
-	if v, err := client.Call("fresh"); err != nil || v.Str() != "f" {
+	if v, err := client.CallContext(context.Background(), "fresh"); err != nil || v.Str() != "f" {
 		t.Errorf("fresh = %v, %v", v, err)
 	}
 }

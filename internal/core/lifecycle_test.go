@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	neturl "net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -202,7 +204,7 @@ func TestLifecycleGoroutineChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Call("echo", dyn.StringValue("x")); err != nil {
+		if _, err := c.CallContext(context.Background(), "echo", dyn.StringValue("x")); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Close(); err != nil {
@@ -289,4 +291,95 @@ func TestDrainEndsHeldStreams(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestShortHTTP1RequestAnsweredPromptly pins the shared listener's
+// protocol sniff: a bare 18-octet HTTP/1.1 request is shorter than the
+// 24-octet HTTP/2 preface, so it must be routed to net/http on its first
+// octet instead of waiting out the sniff deadline.
+func TestShortHTTP1RequestAnsweredPromptly(t *testing.T) {
+	m := newManager(t)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(m.HTTPBaseURL(), "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	status := make([]byte, len("HTTP/1.1 400"))
+	if _, err := io.ReadFull(conn, status); err != nil {
+		t.Fatalf("short request not answered: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("short request answered after %v", elapsed)
+	}
+	if !strings.HasPrefix(string(status), "HTTP/1.1 ") {
+		t.Errorf("answered %q", status)
+	}
+}
+
+// TestFollowURLManager runs a manager in follower mode against a leader
+// manager: it starts (its Interface Server configured from Config),
+// converges on the leader's documents, passes Probe, and refuses
+// Register.
+func TestFollowURLManager(t *testing.T) {
+	leader := newManager(t)
+	srv, err := leader.Register(slowEchoClass(t, "Followed", 0), core.TechSOAP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := core.NewManager(core.Config{
+		FollowURL:     leader.InterfaceBaseURL(),
+		MaxWatcherLag: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if got := follower.InterfaceServer().MaxWatcherLag; got != 64 {
+		t.Errorf("follower view MaxWatcherLag = %d, want 64", got)
+	}
+
+	want, err := leader.Store().Get(docPath(t, srv.InterfaceURL()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := follower.InterfaceBaseURL() + docPath(t, srv.InterfaceURL())
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(url)
+		if err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK && string(body) == want.Content {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never served the leader's WSDL at %s", url)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for err := follower.Probe(); err != nil; err = follower.Probe() {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower Probe: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := follower.Register(slowEchoClass(t, "Refused", 0), core.TechSOAP); err == nil {
+		t.Error("Register succeeded on a follower")
+	}
+}
+
+// docPath is the Interface Server path of a published document URL.
+func docPath(t *testing.T, docURL string) string {
+	t.Helper()
+	u, err := neturl.Parse(docURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u.Path
 }

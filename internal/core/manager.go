@@ -12,6 +12,7 @@ import (
 
 	"livedev/internal/clock"
 	"livedev/internal/dyn"
+	"livedev/internal/h2x"
 	"livedev/internal/ifsvr"
 	"livedev/internal/repl"
 )
@@ -70,14 +71,10 @@ type CallHandler interface {
 type Config struct {
 	// InterfaceAddr is the Interface Server listen address.
 	InterfaceAddr string
-	// HTTPAddr is the listen address of the shared HTTP endpoint server
-	// that HTTP-based bindings (SOAP, JSON) mount call handlers on.
+	// HTTPAddr is the listen address of the shared endpoint server that
+	// HTTP-based bindings (SOAP and JSON over HTTP/1.1, h2b over
+	// cleartext HTTP/2) mount call handlers on.
 	HTTPAddr string
-	// SOAPAddr is the former name of HTTPAddr, honored when HTTPAddr is
-	// empty.
-	//
-	// Deprecated: set HTTPAddr.
-	SOAPAddr string
 	// CORBAAddr is the listen address used for each CORBA server ORB.
 	CORBAAddr string
 	// Timeout is the publication stability timeout (Section 5.6).
@@ -160,9 +157,6 @@ func (c Config) withDefaults() Config {
 		c.InterfaceAddr = "127.0.0.1:0"
 	}
 	if c.HTTPAddr == "" {
-		c.HTTPAddr = c.SOAPAddr
-	}
-	if c.HTTPAddr == "" {
 		c.HTTPAddr = "127.0.0.1:0"
 	}
 	if c.CORBAAddr == "" {
@@ -179,9 +173,9 @@ func (c Config) withDefaults() Config {
 
 // Manager is the SDE Manager: it "oversees the subsystem initialization and
 // acts as the central point of communication between the other components"
-// (Section 5.1). One Manager owns the shared Interface Server, the HTTP
-// server hosting HTTP-based call handlers, and the set of managed server
-// classes.
+// (Section 5.1). One Manager owns the shared Interface Server, the
+// endpoint server hosting HTTP-based call handlers, and the set of managed
+// server classes.
 type Manager struct {
 	cfg Config
 
@@ -192,7 +186,7 @@ type Manager struct {
 
 	httpMux  *dynamicMux
 	httpSrv  *http.Server
-	httpLn   net.Listener
+	h2Srv    *h2x.Server
 	httpBase string
 	httpDone chan struct{}
 
@@ -263,23 +257,28 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.store.Close()
 		return nil, fmt.Errorf("core: starting HTTP endpoint server: %w", err)
 	}
-	m.httpLn = ln
 	m.httpBase = "http://" + ln.Addr().String()
 	// The ops plane rides the shared endpoint mux: scrapers hit the same
 	// listener the bindings serve on, so one address covers both.
-	m.httpMux.handle("/metrics", http.HandlerFunc(m.serveMetrics))
-	m.httpSrv = &http.Server{Handler: m.httpMux, ReadHeaderTimeout: 10 * time.Second}
-	// Cleartext HTTP/2 alongside HTTP/1.1 on the shared endpoint listener:
-	// existing SOAP/JSON traffic is untouched (preface-sniffed), and the
-	// h2b binding's multiplexed CDR calls ride h2 streams on one conn.
-	ifsvr.EnableH2C(m.httpSrv)
+	m.MountHTTP("/metrics", http.HandlerFunc(m.serveMetrics))
+	m.httpSrv = &http.Server{Handler: m.httpMux, ReadHeaderTimeout: readHeaderTimeout}
+	// One listener, two engines: connections opening with the HTTP/2
+	// preface (h2b calls) go to the h2x engine, the rest (SOAP, JSON,
+	// /metrics) to net/http. Both route through the same path table.
+	m.h2Srv = h2x.NewServer(m.httpMux)
+	fallback := m.h2Srv.Start(ln, readHeaderTimeout)
 	m.httpDone = make(chan struct{})
 	go func() {
 		defer close(m.httpDone)
-		_ = m.httpSrv.Serve(ln)
+		_ = m.httpSrv.Serve(fallback)
 	}()
 	return m, nil
 }
+
+// readHeaderTimeout bounds how long the shared endpoint server waits for
+// a new connection's first request (and, before that, its protocol
+// preface).
+const readHeaderTimeout = 10 * time.Second
 
 // InterfaceServer returns the shared Interface Server (the HTTP read view
 // over the publication store).
@@ -305,18 +304,21 @@ func (m *Manager) InterfaceBaseURL() string { return m.iface.BaseURL() }
 // served under.
 func (m *Manager) HTTPBaseURL() string { return m.httpBase }
 
-// SOAPBaseURL is the former name of HTTPBaseURL.
-//
-// Deprecated: use HTTPBaseURL.
-func (m *Manager) SOAPBaseURL() string { return m.httpBase }
-
 // MountHTTP mounts a call handler on the shared HTTP endpoint server at
 // path. HTTP-based bindings use it so one listener serves every HTTP
 // technology.
-func (m *Manager) MountHTTP(path string, h http.Handler) { m.httpMux.handle(path, h) }
+func (m *Manager) MountHTTP(path string, h http.Handler) { m.httpMux.handle(path, &muxEntry{h: h}) }
 
 // UnmountHTTP removes a handler mounted with MountHTTP.
 func (m *Manager) UnmountHTTP(path string) { m.httpMux.removeHandler(path) }
+
+// MountH2 mounts a cleartext HTTP/2 call handler on the shared endpoint
+// listener at path (the request's :path). It shares MountHTTP's path
+// table, so its calls show up in the same per-path counters.
+func (m *Manager) MountH2(path string, h h2x.Handler) { m.httpMux.handle(path, &muxEntry{h2: h}) }
+
+// UnmountH2 removes a handler mounted with MountH2.
+func (m *Manager) UnmountH2(path string) { m.httpMux.removeHandler(path) }
 
 // NewPublisher builds a DL Publisher for class wired to the manager's
 // configured stability timeout and clock, delivering documents via publish.
@@ -558,9 +560,10 @@ func (m *Manager) Draining() bool {
 //
 //  1. new registrations are refused (Register returns an error) and
 //     Probe reports not-ready, so orchestrators stop routing here;
-//  2. the HTTP endpoint server stops accepting connections and waits —
-//     bounded by ctx — for in-flight calls to complete
-//     (http.Server.Shutdown, not Close: nothing in flight is dropped);
+//  2. the shared endpoint listener stops accepting connections, and both
+//     of its engines wait — bounded by ctx — for in-flight calls to
+//     complete: net/http's Shutdown for HTTP/1.1, and for HTTP/2 a GOAWAY
+//     naming the last accepted stream (nothing in flight is dropped);
 //  3. held replication tails are ended so followers reconnect elsewhere;
 //  4. the Interface Server drains: parked long-polls answer immediately
 //     and held watch streams end with a terminal "draining" frame, so
@@ -582,8 +585,13 @@ func (m *Manager) Drain(ctx context.Context) error {
 
 	var errs []error
 	// In-flight calls finish; new conns are refused from here on.
+	h2Done := make(chan error, 1)
+	go func() { h2Done <- m.h2Srv.Shutdown(ctx) }()
 	if err := m.httpSrv.Shutdown(ctx); err != nil {
 		errs = append(errs, fmt.Errorf("core: draining HTTP endpoint server: %w", err))
+	}
+	if err := <-h2Done; err != nil {
+		errs = append(errs, fmt.Errorf("core: draining HTTP/2 endpoint server: %w", err))
 	}
 	// End held WAL tails first: a parked follower would otherwise stall
 	// the Interface Server's shutdown until the deadline.
@@ -629,6 +637,7 @@ func (m *Manager) Stop() error {
 			errs = append(errs, fmt.Errorf("core: closing %s server %q: %w", s.Technology(), s.Class().Name(), err))
 		}
 	}
+	_ = m.h2Srv.Close()
 	if err := m.httpSrv.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("core: closing HTTP endpoint server: %w", err))
 	}
@@ -663,18 +672,21 @@ func (m *Manager) Close() error {
 
 // dynamicMux routes endpoint paths to handlers and supports removal
 // (http.ServeMux cannot unregister, and SDE servers come and go live).
-// Each mount carries request/error counters — the per-binding call
-// counts the /metrics endpoint exposes.
+// It routes both engines of the shared listener: net/http requests to
+// MountHTTP handlers, HTTP/2 streams to MountH2 handlers. Each mount
+// carries request/error counters — the per-binding call counts the
+// /metrics endpoint exposes.
 type dynamicMux struct {
 	mu       sync.RWMutex
 	handlers map[string]*muxEntry
 }
 
-// muxEntry is one mounted handler plus its counters. Counters survive as
-// long as the mount; remounting a path (a class re-registered) starts
-// fresh.
+// muxEntry is one mounted handler (h or h2) plus its counters. Counters
+// survive as long as the mount; remounting a path (a class re-registered)
+// starts fresh.
 type muxEntry struct {
 	h        http.Handler
+	h2       h2x.Handler
 	requests atomic.Uint64
 	errors   atomic.Uint64
 }
@@ -689,9 +701,9 @@ func newDynamicMux() *dynamicMux {
 	return &dynamicMux{handlers: make(map[string]*muxEntry)}
 }
 
-func (d *dynamicMux) handle(path string, h http.Handler) {
+func (d *dynamicMux) handle(path string, e *muxEntry) {
 	d.mu.Lock()
-	d.handlers[path] = &muxEntry{h: h}
+	d.handlers[path] = e
 	d.mu.Unlock()
 }
 
@@ -715,9 +727,9 @@ func (d *dynamicMux) stats() []muxStat {
 // ServeHTTP implements http.Handler.
 func (d *dynamicMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	d.mu.RLock()
-	e, ok := d.handlers[r.URL.Path]
+	e := d.handlers[r.URL.Path]
 	d.mu.RUnlock()
-	if !ok {
+	if e == nil || e.h == nil {
 		http.NotFound(w, r)
 		return
 	}
@@ -727,6 +739,22 @@ func (d *dynamicMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if sw.status >= http.StatusInternalServerError {
 		e.errors.Add(1)
 	}
+}
+
+// ServeH2 implements h2x.Handler.
+func (d *dynamicMux) ServeH2(ctx context.Context, r *h2x.Request) *h2x.Response {
+	d.mu.RLock()
+	e := d.handlers[r.Path]
+	d.mu.RUnlock()
+	if e == nil || e.h2 == nil {
+		return &h2x.Response{Status: http.StatusNotFound}
+	}
+	e.requests.Add(1)
+	resp := e.h2.ServeH2(ctx, r)
+	if resp != nil && resp.Status >= http.StatusInternalServerError {
+		e.errors.Add(1)
+	}
+	return resp
 }
 
 // statusWriter records the response status for the mux's error counter.

@@ -240,8 +240,11 @@ func (c *Class) commit(op string, step *step, recording bool) ChangeEvent {
 		c.ifaceVer++
 	}
 	desc.Version = c.ifaceVer
-	c.ifaceCache.Store(&desc)
+	// Dispatch first: a handler that finds a method in the interface
+	// must find it in the dispatch table too, or it would answer a call
+	// to a published signature as stale.
 	c.rebuildDispatchLocked()
+	c.ifaceCache.Store(&desc)
 	ev := ChangeEvent{
 		Class:              c,
 		Seq:                c.seq,

@@ -143,3 +143,64 @@ func TestDispatchSeesEditImmediately(t *testing.T) {
 		}
 	}
 }
+
+// TestInterfaceLookupImpliesDispatch pins the order in which an edit
+// publishes its two lock-free views: a call handler resolves a method
+// against Interface() and then dispatches through the method table, so
+// a method found in the interface at version v must be in the dispatch
+// table at v too. Otherwise the handler answers a call to a published
+// signature as stale. Callers race an editor that renames one method
+// back and forth; a failed dispatch counts only if no edit committed in
+// between (checked under the class lock, after any commit in progress).
+func TestInterfaceLookupImpliesDispatch(t *testing.T) {
+	c := NewClass("Ordered")
+	id, err := c.AddMethod(MethodSpec{
+		Name:        "m",
+		Result:      Int32T,
+		Distributed: true,
+		Body:        func(_ *Instance, _ []Value) (Value, error) { return Int32Value(1), nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := c.NewInstance()
+
+	var stop atomic.Bool
+	var violations atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				desc := c.Interface()
+				if _, ok := desc.Lookup("m"); !ok {
+					continue
+				}
+				if _, err := in.InvokeDistributed("m"); !errors.Is(err, ErrNoSuchMethod) {
+					continue
+				}
+				c.mu.RLock()
+				ver := c.ifaceVer
+				c.mu.RUnlock()
+				if ver == desc.Version {
+					violations.Add(1)
+				}
+			}
+		}()
+	}
+	for r := 0; r < 20000; r++ {
+		name := "n"
+		if r%2 == 1 {
+			name = "m"
+		}
+		if err := c.RenameMethod(id, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := violations.Load(); n > 0 {
+		t.Errorf("%d calls found m in the interface but not in the dispatch table at the same version", n)
+	}
+}

@@ -281,7 +281,7 @@ func setupSDEH2B(payload string) (rttSetup, error) {
 		return rttSetup{}, err
 	}
 	hs := srv.(*h2b.Server)
-	caller := &h2b.Caller{Endpoint: hs.Endpoint(), Mux: hs.MuxAddr()}
+	caller := &h2b.Caller{Endpoint: hs.Endpoint()}
 	sig := echoSig()
 	args := []dyn.Value{dyn.StringValue(payload)}
 	ctx := context.Background()

@@ -1,17 +1,12 @@
 package h2b
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"livedev/internal/cde"
 	"livedev/internal/cdr"
@@ -35,118 +30,46 @@ type AppError struct {
 // Error implements error.
 func (e *AppError) Error() string { return "server application error: " + e.Message }
 
-// The binding's shared call transport. An h2b interface document promises
-// its endpoint speaks cleartext HTTP/2 — the server half mounts on the
-// manager's h2c-enabled listener — so the client sends prior-knowledge h2
-// with no probe and no HTTP/1.1 fallback for http:// endpoints (https
-// endpoints negotiate h2 via ALPN). MaxConnsPerHost pins the design
-// point: one long-lived TCP connection per endpoint, with concurrent
-// calls multiplexed as concurrent streams rather than racing dials the
-// way HTTP/1.1 keep-alive (or an unlimited pool) would under parallel
-// load. Every dial is counted per endpoint so "N parallel callers share
-// one connection" is test-assertable (Dials/TransportStats).
-var sharedCallClient = &http.Client{Transport: newCallTransport()}
-
-func newCallTransport() *http.Transport {
-	var p http.Protocols
-	p.SetHTTP2(true)
-	p.SetUnencryptedHTTP2(true)
-	dial := (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext
-	return &http.Transport{
-		Proxy: http.ProxyFromEnvironment,
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-			c, err := dial(ctx, network, addr)
-			if err == nil {
-				countCallDial(addr)
-			}
-			return c, err
-		},
-		Protocols:       &p,
-		MaxConnsPerHost: 1,
-		ReadBufferSize:  1 << 16,
-		WriteBufferSize: 1 << 16,
-		HTTP2: &http.HTTP2Config{
-			MaxConcurrentStreams:          512,
-			MaxReceiveBufferPerConnection: 1 << 20,
-			MaxReceiveBufferPerStream:     1 << 18,
-		},
-	}
-}
-
-// Per-endpoint TCP dial counters for the shared call transport.
+// The binding's connection pool: one long-lived h2x connection per
+// endpoint address, shared by every caller in the process, with
+// concurrent calls multiplexed as streams rather than racing dials.
+// Dials are single-flighted — under a parallel burst the first caller
+// dials while the rest wait on ready — and counted per address, so "N
+// parallel callers share one connection" is test-assertable (Dials).
 var (
-	callDialMu    sync.Mutex
-	callDialCount = make(map[string]int)
+	connMu    sync.Mutex
+	conns     = make(map[string]*connEntry)
+	dialCount = make(map[string]int)
 )
 
-func countCallDial(addr string) {
-	callDialMu.Lock()
-	callDialCount[addr]++
-	callDialMu.Unlock()
-}
-
-// Dials reports how many TCP connections the shared call transport has
-// dialed to addr (a "host:port") over the process lifetime. With HTTP/2
-// multiplexing, N parallel callers against one endpoint should move this
-// by one, not by N.
-func Dials(addr string) int {
-	callDialMu.Lock()
-	defer callDialMu.Unlock()
-	return callDialCount[addr]
-}
-
-// TransportStats reports the shared call transport's total dialed
-// connections and the number of distinct endpoints dialed — the binding's
-// sibling of cde.IIOPPoolStats.
-func TransportStats() (dials, endpoints int) {
-	callDialMu.Lock()
-	defer callDialMu.Unlock()
-	for _, n := range callDialCount {
-		dials += n
-	}
-	return dials, len(callDialCount)
-}
-
-// DialedEndpoints returns the dialed endpoints, sorted — a debugging aid
-// for connection-count assertions.
-func DialedEndpoints() []string {
-	callDialMu.Lock()
-	defer callDialMu.Unlock()
-	eps := make([]string, 0, len(callDialCount))
-	for e := range callDialCount {
-		eps = append(eps, e)
-	}
-	sort.Strings(eps)
-	return eps
-}
-
-// The fast-path connection pool: one long-lived h2x connection per mux
-// endpoint, shared by every caller in the process (the stdlib transport's
-// MaxConnsPerHost=1 design point, kept by hand). Dials are
-// single-flighted — under a parallel burst the first caller dials while
-// the rest wait on ready — and counted in the same per-endpoint counters
-// as the stdlib transport, so Dials() assertions cover both paths.
-var (
-	muxMu    sync.Mutex
-	muxConns = make(map[string]*muxEntry)
-)
-
-type muxEntry struct {
+type connEntry struct {
 	ready chan struct{} // closed once conn/err are set
 	conn  *h2x.ClientConn
 	err   error
 }
 
-func muxConn(addr string) (*h2x.ClientConn, error) {
+// Dials reports how many TCP connections the binding has dialed to addr
+// (a "host:port") over the process lifetime. With HTTP/2 multiplexing, N
+// parallel callers against one endpoint should move this by one, not by
+// N.
+func Dials(addr string) int {
+	connMu.Lock()
+	defer connMu.Unlock()
+	return dialCount[addr]
+}
+
+// pooledConn returns the live pooled connection to addr, dialing one if
+// there is none (or the pooled one died or is going away).
+func pooledConn(addr string) (*h2x.ClientConn, error) {
 	for {
-		muxMu.Lock()
-		e := muxConns[addr]
+		connMu.Lock()
+		e := conns[addr]
 		stale := false
 		if e != nil {
 			select {
 			case <-e.ready:
 				if e.err == nil && e.conn.Alive() {
-					muxMu.Unlock()
+					connMu.Unlock()
 					return e.conn, nil
 				}
 				stale = true // dead conn (or failed dial left behind); replace
@@ -155,23 +78,21 @@ func muxConn(addr string) (*h2x.ClientConn, error) {
 			}
 		}
 		if e == nil || stale {
-			ne := &muxEntry{ready: make(chan struct{})}
-			muxConns[addr] = ne
-			muxMu.Unlock()
+			ne := &connEntry{ready: make(chan struct{})}
+			conns[addr] = ne
+			connMu.Unlock()
 			ne.conn, ne.err = h2x.Dial(addr)
+			connMu.Lock()
 			if ne.err == nil {
-				countCallDial(addr)
-			} else {
-				muxMu.Lock()
-				if muxConns[addr] == ne {
-					delete(muxConns, addr)
-				}
-				muxMu.Unlock()
+				dialCount[addr]++
+			} else if conns[addr] == ne {
+				delete(conns, addr)
 			}
+			connMu.Unlock()
 			close(ne.ready)
 			return ne.conn, ne.err
 		}
-		muxMu.Unlock()
+		connMu.Unlock()
 		<-e.ready
 		if e.err == nil && e.conn.Alive() {
 			return e.conn, nil
@@ -184,19 +105,12 @@ func muxConn(addr string) (*h2x.ClientConn, error) {
 }
 
 // Caller posts CDR calls to one endpoint URL — the transport half of an
-// h2b client stub (the analogue of jsonb.Caller). Calls always ride the
-// binding's shared prior-knowledge h2c transport: the interface document
-// advertising the endpoint promises HTTP/2, and a caller-supplied HTTP
-// client (whose transport would speak HTTP/1.1) applies to document
-// traffic only.
+// h2b client stub (the analogue of jsonb.Caller). Calls ride the pooled
+// h2x connection to the endpoint's host:port, with the URL path as
+// :path. A caller-supplied HTTP client applies to document traffic only.
 type Caller struct {
-	// Endpoint is the CDR-POST endpoint URL.
+	// Endpoint is the CDR-POST endpoint URL ("http://host:port/h2b/Class").
 	Endpoint string
-	// Mux, when non-empty, is the "host:port" of the server's dedicated
-	// fast-path listener (the document's mux_endpoint); calls then ride a
-	// pooled h2x connection instead of the stdlib HTTP stack. The wire
-	// contract — headers, bodies, error codes — is identical on both.
-	Mux string
 }
 
 // Call performs one RPC against sig. Cancelling ctx resets the in-flight
@@ -205,6 +119,12 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 	if len(args) != len(sig.Params) {
 		return dyn.Value{}, fmt.Errorf("h2b: %s takes %d arguments, got %d", sig.Name, len(sig.Params), len(args))
 	}
+	rest, ok := strings.CutPrefix(c.Endpoint, "http://")
+	slash := strings.IndexByte(rest, '/')
+	if !ok || slash <= 0 {
+		return dyn.Value{}, fmt.Errorf("h2b: endpoint %q is not an http://host:port/path URL", c.Endpoint)
+	}
+	addr := rest[:slash]
 	e := cdr.GetEncoder(cdr.BigEndian)
 	for i, a := range args {
 		if !a.Type().Equal(sig.Params[i].Type) {
@@ -217,103 +137,42 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 			return dyn.Value{}, err
 		}
 	}
-	if c.Mux != "" {
-		v, err := c.callMux(ctx, sig, e.Bytes())
-		// The engine copies the body into the connection's write buffer
-		// before Do returns — on success and on every error path — so the
-		// pooled encoder is always safe to recycle here.
-		cdr.PutEncoder(e)
-		return v, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(e.Bytes()))
-	if err != nil {
-		cdr.PutEncoder(e)
-		return dyn.Value{}, fmt.Errorf("h2b: building HTTP request: %w", err)
-	}
-	req.Header.Set("Content-Type", CallContentType)
-	req.Header.Set(MethodHeader, sig.Name)
-	req.Header.Set(OrderHeader, orderValue(cdr.BigEndian))
-
-	resp, err := sharedCallClient.Do(req)
-	if err != nil {
-		// An aborted round trip (stream reset on cancellation) may leave
-		// the transport's write path still aliasing the encoder buffer:
-		// abandon the encoder to the GC instead of recycling it.
-		return dyn.Value{}, fmt.Errorf("h2b: posting to %s: %w", c.Endpoint, err)
-	}
-	// The server reads the whole argument stream before replying, so a
-	// response means the request body is fully consumed and the pooled
-	// encoder is safe to recycle.
-	cdr.PutEncoder(e)
-	defer func() { _ = resp.Body.Close() }()
-
-	if code := resp.Header.Get(ErrorHeader); code != "" || resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		switch code {
-		case CodeNonExistentMethod:
-			return dyn.Value{}, fmt.Errorf("%w: %s", ErrNonExistentMethod, msg)
-		case CodeApplication:
-			return dyn.Value{}, &AppError{Message: string(msg)}
-		default:
-			return dyn.Value{}, fmt.Errorf("h2b: server error %s (HTTP %d): %s", code, resp.StatusCode, msg)
-		}
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("h2b: reading reply for %s: %w", sig.Name, err)
-	}
-	if sig.Result == nil || sig.Result.Kind() == dyn.KindVoid {
-		return dyn.VoidValue(), nil
-	}
-	order, err := parseOrder(resp.Header.Get(OrderHeader))
-	if err != nil {
-		return dyn.Value{}, err
-	}
-	// The reply body is this call's own heap buffer: the zero-copy decode
-	// may alias it, the result value keeps it alive.
-	d := cdr.NewDecoder(body, order)
-	d.SetZeroCopy(true)
-	v, err := cdr.DecodeValue(d, sig.Result)
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("h2b: decoding %s result: %w", sig.Name, err)
-	}
-	return v, nil
-}
-
-// callMux performs one RPC over the pooled fast-path connection. It is
-// the same wire exchange as the stdlib path — POST, the X-H2B-* headers,
-// a CDR body each way — framed by the h2x engine.
-func (c *Caller) callMux(ctx context.Context, sig dyn.MethodSig, body []byte) (dyn.Value, error) {
 	req := &h2x.Request{
 		Method:    "POST",
-		Authority: c.Mux,
-		Path:      muxCallPath,
+		Authority: addr,
+		Path:      rest[slash:],
 		Header: [][2]string{
 			{"content-type", CallContentType},
-			{muxMethodHeader, sig.Name},
-			{muxOrderHeader, orderValue(cdr.BigEndian)},
+			{MethodHeader, sig.Name},
+			{OrderHeader, OrderBig},
 		},
-		Body: body,
+		Body: e.Bytes(),
 	}
 	var resp *h2x.Response
 	for attempt := 0; ; attempt++ {
-		conn, err := muxConn(c.Mux)
+		conn, err := pooledConn(addr)
 		if err != nil {
-			return dyn.Value{}, fmt.Errorf("h2b: dialing mux endpoint %s: %w", c.Mux, err)
+			cdr.PutEncoder(e)
+			return dyn.Value{}, fmt.Errorf("h2b: dialing %s: %w", addr, err)
 		}
 		resp, err = conn.Do(ctx, req)
 		if err == nil {
 			break
 		}
-		// A pooled connection can die between calls (server restart); one
-		// redial covers that without masking a live failure.
+		// A pooled connection can die or go away between calls (server
+		// drain or restart); one redial covers that without masking a
+		// live failure.
 		if errors.Is(err, h2x.ErrConnClosed) && attempt == 0 && ctx.Err() == nil {
 			continue
 		}
-		return dyn.Value{}, fmt.Errorf("h2b: calling mux endpoint %s: %w", c.Mux, err)
+		cdr.PutEncoder(e)
+		return dyn.Value{}, fmt.Errorf("h2b: calling %s: %w", c.Endpoint, err)
 	}
+	// The engine copies the body into the connection's write buffer
+	// before Do returns, so the pooled encoder is safe to recycle here.
+	cdr.PutEncoder(e)
 
-	if code := resp.HeaderValue(muxErrorHeader); code != "" || resp.Status != http.StatusOK {
+	if code := resp.HeaderValue(ErrorHeader); code != "" || resp.Status != http.StatusOK {
 		msg := resp.Body
 		if len(msg) > 1<<16 {
 			msg = msg[:1<<16]
@@ -330,7 +189,7 @@ func (c *Caller) callMux(ctx context.Context, sig dyn.MethodSig, body []byte) (d
 	if sig.Result == nil || sig.Result.Kind() == dyn.KindVoid {
 		return dyn.VoidValue(), nil
 	}
-	order, err := parseOrder(resp.HeaderValue(muxOrderHeader))
+	order, err := parseOrder(resp.HeaderValue(OrderHeader))
 	if err != nil {
 		return dyn.Value{}, err
 	}
@@ -370,13 +229,13 @@ func (b *backend) Technology() string { return Name }
 // compile turns a fetched (or pushed) interface document into the
 // descriptor and (re)targets the caller at the advertised endpoint.
 func (b *backend) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, cde.DocVersions, error) {
-	desc, endpoint, mux, err := ParseDoc(doc.Content)
+	desc, endpoint, err := ParseDoc(doc.Content)
 	if err != nil {
 		return dyn.InterfaceDescriptor{}, cde.DocVersions{}, err
 	}
 	desc.Version = doc.DescriptorVersion
 	b.mu.Lock()
-	b.caller = &Caller{Endpoint: endpoint, Mux: mux}
+	b.caller = &Caller{Endpoint: endpoint}
 	b.mu.Unlock()
 	return desc, cde.DocVersions{Doc: doc.Version, Descriptor: doc.DescriptorVersion, Epoch: doc.Epoch, Generation: doc.Generation}, nil
 }
@@ -443,7 +302,7 @@ func (Binding) Name() string { return Name }
 
 // Serve implements core.Binding.
 func (Binding) Serve(m *core.Manager, class *dyn.Class) (core.Server, error) {
-	return newServer(m, class)
+	return newServer(m, class), nil
 }
 
 // Describe reports how the binding's interface documents are recognized.

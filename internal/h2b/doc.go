@@ -8,16 +8,18 @@
 // parallel caller never queues behind a connection the way HTTP/1.1
 // keep-alive forces.
 //
-// Wire protocol: POST the CDR-encoded arguments (in signature order,
-// jointly forming one CDR stream) to the endpoint with Content-Type
-// "application/x-livedev-cdr", the method name in X-H2B-Method, and the
-// byte order in X-H2B-Order ("big" or "little"). A 200 reply carries the
-// CDR-encoded result with its own X-H2B-Order; an error reply carries the
-// code in X-H2B-Error and a plain-text message, using the same codes and
-// statuses as the JSON binding. There is no binding-level framing beyond
-// this: HTTP/2's own stream framing delimits calls, flow-controls bodies,
-// and maps cancellation onto RST_STREAM (the server observes it as the
-// request context ending).
+// Wire protocol: over prior-knowledge cleartext HTTP/2, POST the
+// CDR-encoded arguments (in signature order, jointly forming one CDR
+// stream) to the endpoint with content-type "application/x-livedev-cdr",
+// the method name in x-h2b-method, and the byte order in x-h2b-order
+// ("big" or "little"). A 200 reply carries the CDR-encoded result with its
+// own x-h2b-order; an error reply carries the code in x-h2b-error and a
+// plain-text message, using the same codes and statuses as the JSON
+// binding. There is no binding-level framing beyond this: HTTP/2's own
+// stream framing delimits calls, flow-controls bodies, and maps
+// cancellation onto RST_STREAM (the server observes it as the request
+// context ending). Both halves speak it through the internal/h2x engine;
+// the server half is reached on the manager's shared endpoint listener.
 //
 // The error code "non-existent-method" carries the Section 5.7 guarantee:
 // by the time the client sees it, the published interface document is
@@ -52,28 +54,15 @@ const DocContentType = "application/vnd.livedev.h2b+json"
 // CallContentType is the MIME type of request and reply bodies.
 const CallContentType = "application/x-livedev-cdr"
 
-// Wire headers.
+// Wire headers, in the lowercase form HTTP/2 field names take.
 const (
 	// MethodHeader names the invoked method on a call request.
-	MethodHeader = "X-H2B-Method"
+	MethodHeader = "x-h2b-method"
 	// OrderHeader declares the CDR byte order of the attached body.
-	OrderHeader = "X-H2B-Order"
+	OrderHeader = "x-h2b-order"
 	// ErrorHeader carries the error code on a failed call's reply.
-	ErrorHeader = "X-H2B-Error"
+	ErrorHeader = "x-h2b-error"
 )
-
-// The same wire headers in the lowercase form HTTP/2 field names take on
-// the fast-path (h2x) transport.
-const (
-	muxMethodHeader = "x-h2b-method"
-	muxOrderHeader  = "x-h2b-order"
-	muxErrorHeader  = "x-h2b-error"
-)
-
-// muxCallPath is the :path fast-path calls are sent with. The dedicated
-// listener serves exactly one class, so routing is by connection, not
-// path; the constant keeps the wire form stable for protocol tooling.
-const muxCallPath = "/h2b"
 
 // OrderHeader values.
 const (
@@ -95,14 +84,6 @@ const (
 	CodeApplication = "application-error"
 )
 
-// orderValue renders a CDR byte order as its wire-header value.
-func orderValue(o cdr.ByteOrder) string {
-	if o == cdr.LittleEndian {
-		return OrderLittle
-	}
-	return OrderBig
-}
-
 // parseOrder reads an OrderHeader value; the empty string means big-endian
 // (CDR's flag-octet default).
 func parseOrder(v string) (cdr.ByteOrder, error) {
@@ -119,64 +100,23 @@ func parseOrder(v string) (cdr.ByteOrder, error) {
 // GenerateDoc renders the interface document for desc served at endpoint.
 // The document is the JSON binding's grammar under this binding's format
 // tag — the struct table, method list, and endpoint field are identical,
-// so the two bindings share one stub compiler. mux, when non-empty, is
-// the "host:port" of the dedicated multiplexed fast-path listener and is
-// published as the document's "mux_endpoint" field; clients without
-// fast-path support ignore the extra key, and documents without it fall
-// back to the HTTP endpoint.
-func GenerateDoc(desc dyn.InterfaceDescriptor, endpoint, mux string) (string, error) {
+// so the two bindings share one stub compiler.
+func GenerateDoc(desc dyn.InterfaceDescriptor, endpoint string) (string, error) {
 	text, err := jsonb.GenerateDoc(desc, endpoint)
 	if err != nil {
 		return "", err
 	}
-	text, err = retag(text, jsonb.DocFormat, DocFormat)
-	if err != nil || mux == "" {
-		return text, err
-	}
-	return injectMux(text, mux)
+	return retag(text, jsonb.DocFormat, DocFormat)
 }
 
-// ParseDoc compiles an interface document into a descriptor, the
-// advertised HTTP call endpoint, and the fast-path mux endpoint (empty
-// when the document does not advertise one) — the binding's stub
-// compiler.
-func ParseDoc(text string) (dyn.InterfaceDescriptor, string, string, error) {
-	var probe struct {
-		Format string `json:"format"`
-		Mux    string `json:"mux_endpoint"`
-	}
-	if err := json.Unmarshal([]byte(text), &probe); err != nil {
-		return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("h2b: parsing interface document: %w", err)
-	}
-	if probe.Format != DocFormat {
-		return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("h2b: unsupported document format %q", probe.Format)
-	}
+// ParseDoc compiles an interface document into a descriptor and the
+// advertised call endpoint — the binding's stub compiler.
+func ParseDoc(text string) (dyn.InterfaceDescriptor, string, error) {
 	retagged, err := retag(text, DocFormat, jsonb.DocFormat)
 	if err != nil {
-		return dyn.InterfaceDescriptor{}, "", "", err
+		return dyn.InterfaceDescriptor{}, "", err
 	}
-	desc, endpoint, err := jsonb.ParseDoc(retagged)
-	return desc, endpoint, probe.Mux, err
-}
-
-// injectMux adds the "mux_endpoint" field to a rendered document. It
-// round-trips through a raw-message map (not jsonb.Doc, which would drop
-// the key it is adding).
-func injectMux(text, mux string) (string, error) {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(text), &m); err != nil {
-		return "", fmt.Errorf("h2b: re-parsing interface document: %w", err)
-	}
-	raw, err := json.Marshal(mux)
-	if err != nil {
-		return "", err
-	}
-	m["mux_endpoint"] = raw
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("h2b: encoding interface document: %w", err)
-	}
-	return string(out), nil
+	return jsonb.ParseDoc(retagged)
 }
 
 // retag swaps the document's format tag, preserving everything else.

@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"net/url"
 	"sync"
 
 	"livedev/internal/cdr"
@@ -22,10 +19,9 @@ const maxBodyBytes = 16 << 20
 // Server is the h2b subsystem bundle for one managed class — the same
 // Figure 4/5 shape as the other bindings: a document generator feeding
 // the shared Interface Server via a DL Publisher, and a call handler
-// mounted on the manager's shared HTTP endpoint server. The manager's
-// listener speaks cleartext HTTP/2 (ifsvr.EnableH2C), which is what lets
-// the client half promise prior-knowledge h2c on the advertised endpoint.
-// It is built entirely from the Manager's public binding surface.
+// mounted (MountH2) on the manager's shared endpoint listener, whose h2x
+// engine takes the connections that open with the HTTP/2 preface. It is
+// built entirely from the Manager's public binding surface.
 type Server struct {
 	mgr      *core.Manager
 	class    *dyn.Class
@@ -34,8 +30,6 @@ type Server struct {
 	endpoint string
 	path     string
 	docPath  string
-	mux      *h2x.Server
-	muxAddr  string
 
 	mu       sync.Mutex
 	instance *dyn.Instance
@@ -44,7 +38,7 @@ type Server struct {
 
 var _ core.Server = (*Server)(nil)
 
-func newServer(m *core.Manager, class *dyn.Class) (*Server, error) {
+func newServer(m *core.Manager, class *dyn.Class) *Server {
 	s := &Server{
 		mgr:     m,
 		class:   class,
@@ -53,36 +47,15 @@ func newServer(m *core.Manager, class *dyn.Class) (*Server, error) {
 	}
 	s.endpoint = m.HTTPBaseURL() + s.path
 	s.handler = &callHandler{class: class}
-
-	// The fast-path listener: the same calls, carried by the purpose-built
-	// h2x engine instead of the general HTTP stack, on a dedicated port
-	// next to the manager's listener (the CORBA binding's IIOP port is the
-	// precedent). The document advertises it as mux_endpoint.
-	s.mux = h2x.NewServer(s.handler)
-	muxAddr, err := s.mux.Listen(net.JoinHostPort(httpHost(m.HTTPBaseURL()), "0"))
-	if err != nil {
-		return nil, fmt.Errorf("h2b: starting mux listener: %w", err)
-	}
-	s.muxAddr = muxAddr
-
 	s.pub = m.PublishInterface(class, s.docPath, DocContentType,
 		func(desc dyn.InterfaceDescriptor) (string, error) {
-			return GenerateDoc(desc, s.endpoint, s.muxAddr)
+			return GenerateDoc(desc, s.endpoint)
 		})
 	s.handler.pub = s.pub
 	s.handler.reactive = m.ReactivePublication()
 
-	m.MountHTTP(s.path, s.handler)
-	return s, nil
-}
-
-// httpHost extracts the host from the manager's base URL, defaulting to
-// loopback so the mux listener binds the same interface as the HTTP one.
-func httpHost(baseURL string) string {
-	if u, err := url.Parse(baseURL); err == nil && u.Hostname() != "" {
-		return u.Hostname()
-	}
-	return "127.0.0.1"
+	m.MountH2(s.path, s.handler)
+	return s
 }
 
 // Class implements core.Server.
@@ -96,10 +69,6 @@ func (s *Server) Publisher() *core.DLPublisher { return s.pub }
 
 // Endpoint returns the CDR-POST endpoint URL.
 func (s *Server) Endpoint() string { return s.endpoint }
-
-// MuxAddr returns the fast-path listener's "host:port" — the address the
-// interface document advertises as mux_endpoint.
-func (s *Server) MuxAddr() string { return s.muxAddr }
 
 // InterfaceURL implements core.Server: the h2b interface document URL.
 func (s *Server) InterfaceURL() string {
@@ -138,8 +107,7 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	_ = s.mux.Close()
-	s.mgr.UnmountHTTP(s.path)
+	s.mgr.UnmountH2(s.path)
 	s.pub.Close()
 	s.mgr.Store().Remove(s.docPath)
 	s.mgr.Unregister(s.class.Name())
@@ -149,9 +117,8 @@ func (s *Server) Close() error {
 // callHandler is the binding's Call Handler, with the same concurrency
 // design as the built-in bindings: concurrent requests under a read gate,
 // the stale path under the write gate with forced publication (Section
-// 5.7). Under HTTP/2 the concurrent requests are streams of one
-// connection, so the read gate is what lets them actually dispatch in
-// parallel.
+// 5.7). The concurrent requests are streams of one HTTP/2 connection, so
+// the read gate is what lets them actually dispatch in parallel.
 type callHandler struct {
 	class    *dyn.Class
 	pub      *core.DLPublisher
@@ -162,7 +129,6 @@ type callHandler struct {
 }
 
 var _ core.CallHandler = (*callHandler)(nil)
-var _ http.Handler = (*callHandler)(nil)
 var _ h2x.Handler = (*callHandler)(nil)
 
 // Activate implements core.CallHandler.
@@ -179,52 +145,38 @@ func (h *callHandler) Active() bool {
 	return h.instance != nil
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set(ErrorHeader, code)
-	w.WriteHeader(status)
-	_, _ = io.WriteString(w, msg)
-}
-
-// reply is one call's transport-neutral outcome. A zero status means the
-// caller went away (the stream was reset) and no reply should be sent.
-// On success (status 200), body is the CDR-encoded result in order, and
-// release — if set — recycles the pooled encoder backing body; the
-// transport must invoke it after the body octets are copied out.
-type reply struct {
-	status  int
-	errCode string
-	msg     string
-	order   cdr.ByteOrder
-	body    []byte
-	release func()
-}
-
-// errReply builds an error outcome.
-func errReply(status int, code, msg string) reply {
-	return reply{status: status, errCode: code, msg: msg}
-}
-
-// call runs one decoded-transport call: CDR argument decode under the
-// read gate, dispatch, CDR result encode. It is the shared core of both
-// transports — the HTTP handler on the manager's listener and the h2x
-// fast path — so the stale-call protocol and encoder pooling behave
-// identically on either. body is the caller's own buffer: the zero-copy
-// decode may alias it, argument values keep it alive.
-func (h *callHandler) call(ctx context.Context, method, orderHdr string, body []byte) reply {
-	if method == "" {
-		return errReply(http.StatusBadRequest, CodeMalformed, "missing "+MethodHeader+" header")
+// ServeH2 handles one call (one HTTP/2 stream): CDR argument decode under
+// the read gate, dispatch, CDR result encode. r.Body is the stream's own
+// buffer, so the zero-copy decode may alias it; argument values keep it
+// alive. ctx ends when the client resets the stream, and a nil response
+// then just drops it. The engine invokes Done after the response octets
+// leave, which is when the pooled encoder backing the body goes back to
+// its pool.
+func (h *callHandler) ServeH2(ctx context.Context, r *h2x.Request) *h2x.Response {
+	if r.Method != "POST" {
+		return &h2x.Response{
+			Status: http.StatusMethodNotAllowed,
+			Header: [][2]string{{"content-type", "text/plain; charset=utf-8"}},
+			Body:   []byte("h2b endpoint: POST only"),
+		}
 	}
-	order, err := parseOrder(orderHdr)
+	if len(r.Body) > maxBodyBytes {
+		return errorResponse(http.StatusBadRequest, CodeMalformed, "request body exceeds the call size limit")
+	}
+	method := r.HeaderValue(MethodHeader)
+	if method == "" {
+		return errorResponse(http.StatusBadRequest, CodeMalformed, "missing "+MethodHeader+" header")
+	}
+	order, err := parseOrder(r.HeaderValue(OrderHeader))
 	if err != nil {
-		return errReply(http.StatusBadRequest, CodeMalformed, err.Error())
+		return errorResponse(http.StatusBadRequest, CodeMalformed, err.Error())
 	}
 
 	h.gate.RLock()
 	in := h.instance
 	if in == nil {
 		h.gate.RUnlock()
-		return errReply(http.StatusServiceUnavailable, CodeNotInitialized, "server not initialized")
+		return errorResponse(http.StatusServiceUnavailable, CodeNotInitialized, "server not initialized")
 	}
 
 	// Resolve against the live interface, not any cached view.
@@ -233,7 +185,7 @@ func (h *callHandler) call(ctx context.Context, method, orderHdr string, body []
 		h.gate.RUnlock()
 		return h.staleCall(method)
 	}
-	d := cdr.NewDecoder(body, order)
+	d := cdr.NewDecoder(r.Body, order)
 	d.SetZeroCopy(true)
 	args := make([]dyn.Value, len(sig.Params))
 	for i, p := range sig.Params {
@@ -256,7 +208,7 @@ func (h *callHandler) call(ctx context.Context, method, orderHdr string, body []
 	if ctx.Err() != nil {
 		// The stream was reset; skip work nobody will observe.
 		h.gate.RUnlock()
-		return reply{}
+		return nil
 	}
 	result, err := in.InvokeDistributed(method, args...)
 	h.gate.RUnlock()
@@ -266,94 +218,33 @@ func (h *callHandler) call(ctx context.Context, method, orderHdr string, body []
 		e := cdr.GetEncoder(cdr.BigEndian)
 		if encErr := cdr.EncodeValue(e, result); encErr != nil {
 			cdr.PutEncoder(e)
-			return errReply(http.StatusInternalServerError, CodeApplication, encErr.Error())
+			return errorResponse(http.StatusInternalServerError, CodeApplication, encErr.Error())
 		}
-		return reply{
-			status:  http.StatusOK,
-			order:   cdr.BigEndian,
-			body:    e.Bytes(),
-			release: func() { cdr.PutEncoder(e) },
+		return &h2x.Response{
+			Status: http.StatusOK,
+			Header: [][2]string{
+				{"content-type", CallContentType},
+				{OrderHeader, OrderBig},
+			},
+			Body: e.Bytes(),
+			Done: func() { cdr.PutEncoder(e) },
 		}
 	case errors.Is(err, dyn.ErrNoSuchMethod), errors.Is(err, dyn.ErrSignatureMismatch):
 		// Interface changed between lookup and dispatch.
 		return h.staleCall(method)
 	default:
-		return errReply(http.StatusInternalServerError, CodeApplication, err.Error())
+		return errorResponse(http.StatusInternalServerError, CodeApplication, err.Error())
 	}
 }
 
-// ServeHTTP handles one call (one HTTP/2 stream) on the manager's
-// listener. The request context — cancelled when the client resets the
-// stream — gates dispatch.
-func (h *callHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "h2b endpoint: POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeMalformed, err.Error())
-		return
-	}
-	rep := h.call(r.Context(), r.Header.Get(MethodHeader), r.Header.Get(OrderHeader), body)
-	switch {
-	case rep.status == 0:
-		// Caller gone; the reset stream carries no reply.
-	case rep.errCode != "":
-		writeError(w, rep.status, rep.errCode, rep.msg)
-	default:
-		w.Header().Set("Content-Type", CallContentType)
-		w.Header().Set(OrderHeader, orderValue(rep.order))
-		_, _ = w.Write(rep.body)
-		// Write copies into the response stream's buffer, so the pooled
-		// encoder can be recycled immediately.
-		if rep.release != nil {
-			rep.release()
-		}
-	}
-}
-
-// ServeH2 handles one call on the fast-path listener — the same core as
-// ServeHTTP, minus the general HTTP stack. The engine invokes Done after
-// the response octets leave, which is when the pooled encoder backing
-// the body goes back to its pool.
-func (h *callHandler) ServeH2(ctx context.Context, r *h2x.Request) *h2x.Response {
-	if r.Method != "POST" {
-		return &h2x.Response{
-			Status: http.StatusMethodNotAllowed,
-			Header: [][2]string{{"content-type", "text/plain; charset=utf-8"}},
-			Body:   []byte("h2b endpoint: POST only"),
-		}
-	}
-	if len(r.Body) > maxBodyBytes {
-		return h2xError(http.StatusBadRequest, CodeMalformed, "request body exceeds the call size limit")
-	}
-	rep := h.call(ctx, r.HeaderValue(muxMethodHeader), r.HeaderValue(muxOrderHeader), r.Body)
-	switch {
-	case rep.status == 0:
-		return nil // caller gone; a nil response just drops the stream
-	case rep.errCode != "":
-		return h2xError(rep.status, rep.errCode, rep.msg)
-	default:
-		return &h2x.Response{
-			Status: rep.status,
-			Header: [][2]string{
-				{"content-type", CallContentType},
-				{muxOrderHeader, orderValue(rep.order)},
-			},
-			Body: rep.body,
-			Done: rep.release,
-		}
-	}
-}
-
-// h2xError renders an error outcome as a fast-path response.
-func h2xError(status int, code, msg string) *h2x.Response {
+// errorResponse renders an error reply: the code in ErrorHeader, the
+// message as plain text.
+func errorResponse(status int, code, msg string) *h2x.Response {
 	return &h2x.Response{
 		Status: status,
 		Header: [][2]string{
 			{"content-type", "text/plain; charset=utf-8"},
-			{muxErrorHeader, code},
+			{ErrorHeader, code},
 		},
 		Body: []byte(msg),
 	}
@@ -362,12 +253,12 @@ func h2xError(status int, code, msg string) *h2x.Response {
 // staleCall implements the Section 5.7 server algorithm: stall incoming
 // processing (write gate), force the published interface document current,
 // then report "non-existent method" and resume.
-func (h *callHandler) staleCall(method string) reply {
+func (h *callHandler) staleCall(method string) *h2x.Response {
 	h.gate.Lock()
 	if h.pub != nil && h.reactive {
 		h.pub.EnsureCurrent()
 	}
 	h.gate.Unlock()
-	return errReply(http.StatusNotFound, CodeNonExistentMethod,
+	return errorResponse(http.StatusNotFound, CodeNonExistentMethod,
 		"method "+method+" is not part of the current server interface")
 }

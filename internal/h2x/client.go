@@ -3,6 +3,7 @@ package h2x
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -58,6 +59,10 @@ func (r *Response) HeaderValue(name string) string {
 // connection; callers holding a pooled conn redial on it.
 var ErrConnClosed = errors.New("h2x: connection closed")
 
+// errRefused fails a stream the server refused unprocessed (past its
+// GOAWAY, or reset with REFUSED_STREAM), so a retry is safe.
+var errRefused = fmt.Errorf("%w: stream refused by the server", ErrConnClosed)
+
 // ClientConn is one cleartext prior-knowledge HTTP/2 client connection
 // multiplexing concurrent calls as streams. A call is one write syscall
 // (HEADERS and DATA leave in a single buffer) plus a channel receive;
@@ -69,15 +74,17 @@ type ClientConn struct {
 	wmu  sync.Mutex // serializes writes; wbuf is its scratch
 	wbuf []byte
 
-	mu      sync.Mutex // streams registry + conn liveness
-	streams map[uint32]*clientStream
-	nextID  uint32
-	dead    error
+	mu        sync.Mutex // streams registry + conn liveness
+	streams   map[uint32]*clientStream
+	nextID    uint32
+	dead      error
+	goingAway bool // GOAWAY received: no new streams
 
 	flow *flowState
 
 	recvMu   sync.Mutex // receive-window credit accounting
 	recvDebt uint32
+	hdec     hpackDecoder // read loop only
 }
 
 // clientStream is one in-flight call.
@@ -130,6 +137,7 @@ func NewClientConn(nc net.Conn) *ClientConn {
 		br:      bufio.NewReaderSize(nc, 1<<16),
 		streams: make(map[uint32]*clientStream),
 		nextID:  1,
+		hdec:    newHPACKDecoder(),
 	}
 	c.flow = newFlowState()
 	b := append([]byte(nil), clientPreface...)
@@ -150,11 +158,30 @@ func NewClientConn(nc net.Conn) *ClientConn {
 // ErrConnClosed.
 func (c *ClientConn) Close() error { return c.conn.Close() }
 
-// Alive reports whether the connection can still carry calls.
+// Alive reports whether the connection can still carry new calls: it
+// is neither dead nor going away.
 func (c *ClientConn) Alive() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dead == nil
+	return c.dead == nil && !c.goingAway
+}
+
+// goAway applies a GOAWAY: streams up to last still complete, later ones
+// fail as refused, and the connection takes no new calls.
+func (c *ClientConn) goAway(last uint32) {
+	c.mu.Lock()
+	c.goingAway = true
+	var refused []*clientStream
+	for id, s := range c.streams {
+		if id > last {
+			refused = append(refused, s)
+			delete(c.streams, id)
+		}
+	}
+	c.mu.Unlock()
+	for _, s := range refused {
+		s.done <- errRefused
+	}
 }
 
 // fail marks the connection dead and completes every in-flight call.
@@ -181,9 +208,12 @@ func (c *ClientConn) fail(err error) {
 func (c *ClientConn) Do(ctx context.Context, req *Request) (*Response, error) {
 	s := &clientStream{done: make(chan error, 1)}
 	c.mu.Lock()
-	if c.dead != nil {
+	if c.dead != nil || c.goingAway {
 		err := c.dead
 		c.mu.Unlock()
+		if err == nil {
+			err = errRefused
+		}
 		return nil, err
 	}
 	s.id = c.nextID
@@ -478,8 +508,12 @@ func (c *ClientConn) readLoop() {
 			}
 		case frameRSTStream:
 			if len(payload) == 4 {
-				code := uint32(payload[0])<<24 | uint32(payload[1])<<16 | uint32(payload[2])<<8 | uint32(payload[3])
-				c.complete(hdr.streamID, fmt.Errorf("h2x: stream reset by peer (code %d)", code))
+				code := binary.BigEndian.Uint32(payload)
+				err := fmt.Errorf("h2x: stream reset by peer (code %d)", code)
+				if code == errCodeRefusedStream {
+					err = errRefused
+				}
+				c.complete(hdr.streamID, err)
 			}
 		case frameSettings:
 			if hdr.flags&flagAck != 0 {
@@ -505,8 +539,13 @@ func (c *ClientConn) readLoop() {
 				c.flow.credit(hdr.streamID, delta)
 			}
 		case frameGoAway:
-			c.fail(fmt.Errorf("%w: GOAWAY from peer", ErrConnClosed))
-			return
+			if len(payload) < 8 {
+				c.fail(&connError{errCodeProtocol, "short GOAWAY"})
+				return
+			}
+			// Replies to streams up to the last accepted one still
+			// arrive; the server closes the connection after them.
+			c.goAway(binary.BigEndian.Uint32(payload) & 0x7fffffff)
 		case framePriority, framePushPromise, frameContinuation:
 			// PRIORITY is ignored (RFC 9113 deprecates it); push is
 			// disabled via SETTINGS; CONTINUATION outside handleHeaders
@@ -556,7 +595,7 @@ func (c *ClientConn) handleHeaders(hdr frameHeader, payload []byte) error {
 		endHeaders = ch.flags&flagEndHeaders != 0
 	}
 
-	fields, err := decodeHeaderBlock(block)
+	fields, err := c.hdec.decode(block)
 	if err != nil {
 		return &connError{errCodeProtocol, err.Error()}
 	}

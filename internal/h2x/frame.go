@@ -48,6 +48,7 @@ const (
 	errCodeNo              = 0x0
 	errCodeProtocol        = 0x1
 	errCodeFlowControl     = 0x3
+	errCodeRefusedStream   = 0x7
 	errCodeCancel          = 0x8
 	errCodeEnhanceYourCalm = 0xb
 )

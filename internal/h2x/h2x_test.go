@@ -31,6 +31,17 @@ func startStdlibH2C(t *testing.T, h http.Handler) string {
 	return l.Addr().String()
 }
 
+// serve starts srv on an ephemeral loopback listener and returns its
+// address and the fallback listener for non-HTTP/2 connections.
+func serve(t *testing.T, srv *Server) (string, net.Listener) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.Addr().String(), srv.Start(l, 2*time.Second)
+}
+
 // stdlibH2Client returns an http.Client speaking prior-knowledge h2c.
 func stdlibH2Client() *http.Client {
 	var protocols http.Protocols
@@ -92,10 +103,7 @@ func TestStdlibClientAgainstServer(t *testing.T) {
 			Body:   append([]byte("got: "), req.Body...),
 		}
 	}))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr, _ := serve(t, srv)
 	defer srv.Close()
 
 	client := stdlibH2Client()
@@ -133,10 +141,7 @@ func TestEngineRoundTrip(t *testing.T) {
 	srv := NewServer(HandlerFunc(func(_ context.Context, req *Request) *Response {
 		return &Response{Status: 200, Body: append([]byte("r:"), req.Body...)}
 	}))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr, _ := serve(t, srv)
 	defer srv.Close()
 
 	c, err := Dial(addr)
@@ -178,10 +183,7 @@ func TestLargeBodiesFlowControlled(t *testing.T) {
 	srv := NewServer(HandlerFunc(func(_ context.Context, req *Request) *Response {
 		return &Response{Status: 200, Body: req.Body}
 	}))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr, _ := serve(t, srv)
 	defer srv.Close()
 
 	c, err := Dial(addr)
@@ -222,10 +224,7 @@ func TestCancellationResetsStream(t *testing.T) {
 			return &Response{Status: 200}
 		}
 	}))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr, _ := serve(t, srv)
 	defer srv.Close()
 
 	c, err := Dial(addr)
@@ -268,10 +267,7 @@ func TestConnDeathFailsInFlightCalls(t *testing.T) {
 		<-ctx.Done()
 		return nil
 	}))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr, _ := serve(t, srv)
 
 	c, err := Dial(addr)
 	if err != nil {
@@ -323,5 +319,181 @@ func TestHuffmanDecode(t *testing.T) {
 	// An EOS-coded string is invalid.
 	if _, err := huffmanDecode([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
 		t.Fatal("EOS should be rejected")
+	}
+}
+
+// TestHPACKDynamicTable decodes the RFC 7541 C.3 request sequence, whose
+// later blocks reference dynamic entries the earlier ones added, then
+// checks that a table-size update to zero evicts them.
+func TestHPACKDynamicTable(t *testing.T) {
+	d := newHPACKDecoder()
+	for i, tc := range []struct {
+		block []byte
+		want  string
+	}{
+		{[]byte("\x82\x86\x84\x41\x0fwww.example.com"),
+			":method=GET :scheme=http :path=/ :authority=www.example.com"},
+		{[]byte("\x82\x86\x84\xbe\x58\x08no-cache"),
+			":method=GET :scheme=http :path=/ :authority=www.example.com cache-control=no-cache"},
+		{[]byte("\x82\x87\x85\xbf\x40\x0acustom-key\x0ccustom-value"),
+			":method=GET :scheme=https :path=/index.html :authority=www.example.com custom-key=custom-value"},
+	} {
+		fields, err := d.decode(tc.block)
+		if err != nil {
+			t.Fatalf("request %d: %v", i+1, err)
+		}
+		var got []string
+		for _, f := range fields {
+			got = append(got, f[0]+"="+f[1])
+		}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("request %d = %q, want %q", i+1, strings.Join(got, " "), tc.want)
+		}
+	}
+	if d.size != 164 {
+		t.Errorf("dynamic table size = %d, want 164 (RFC 7541 C.3.3)", d.size)
+	}
+	if _, err := d.decode([]byte{0x20, 0xbe}); err == nil {
+		t.Error("index 62 resolved after a table-size update to 0 evicted every entry")
+	}
+}
+
+// TestStdlibClientConcurrentOnFreshConn sends a burst of parallel
+// requests from the standard library's client on a new connection: the
+// requests written before the client reads the engine's SETTINGS use
+// HPACK's default dynamic table, which the server must decode.
+func TestStdlibClientConcurrentOnFreshConn(t *testing.T) {
+	srv := NewServer(HandlerFunc(func(_ context.Context, req *Request) *Response {
+		return &Response{Status: 200, Body: append([]byte(req.Path), req.Body...)}
+	}))
+	addr, _ := serve(t, srv)
+	defer srv.Close()
+
+	client := stdlibH2Client()
+	defer client.CloseIdleConnections()
+	const calls = 32
+	var wg sync.WaitGroup
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			path := fmt.Sprintf("/call/%d", i)
+			resp, err := client.Post("http://"+addr+path, "text/plain", strings.NewReader(":x"))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			if string(body) != path+":x" {
+				err = fmt.Errorf("%s answered %q", path, body)
+			}
+			errs <- err
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestStartSplitsProtocols serves HTTP/2 and HTTP/1.1 from one listener:
+// the engine takes preface connections, net/http the rest.
+func TestStartSplitsProtocols(t *testing.T) {
+	srv := NewServer(HandlerFunc(func(_ context.Context, req *Request) *Response {
+		return &Response{Status: 200, Body: []byte("h2 " + req.Path)}
+	}))
+	defer srv.Close()
+	addr, fallback := serve(t, srv)
+	h1 := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, r.Proto+" "+r.URL.Path)
+	})}
+	go func() { _ = h1.Serve(fallback) }()
+	defer h1.Close()
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := c.Do(context.Background(), &Request{Method: "GET", Authority: addr, Path: "/a"})
+	if err != nil || string(resp.Body) != "h2 /a" {
+		t.Fatalf("HTTP/2 call: %v %q", err, resp.Body)
+	}
+
+	hr, err := http.Get("http://" + addr + "/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(hr.Body)
+	hr.Body.Close()
+	if string(body) != "HTTP/1.1 /b" {
+		t.Fatalf("HTTP/1.1 call answered %q", body)
+	}
+
+}
+
+// TestShutdownDrainsStreams pins the graceful close: a call in flight
+// when Shutdown begins completes, the client stops using the connection
+// on GOAWAY, and new connections are refused.
+func TestShutdownDrainsStreams(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	srv := NewServer(HandlerFunc(func(_ context.Context, req *Request) *Response {
+		if req.Path == "/slow" {
+			close(entered)
+			<-release
+		}
+		return &Response{Status: 200, Body: []byte("done")}
+	}))
+	defer srv.Close()
+	addr, _ := serve(t, srv)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	inFlight := make(chan error, 1)
+	go func() {
+		resp, err := c.Do(context.Background(), &Request{Method: "POST", Authority: addr, Path: "/slow", Body: []byte("x")})
+		if err == nil && string(resp.Body) != "done" {
+			err = fmt.Errorf("body %q", resp.Body)
+		}
+		inFlight <- err
+	}()
+	<-entered
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Shutdown(context.Background()) }()
+
+	deadline := time.Now().Add(2 * time.Second)
+	for c.Alive() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if c.Alive() {
+		t.Fatal("client still treats the connection as alive after GOAWAY")
+	}
+	if _, err := c.Do(context.Background(), &Request{Method: "GET", Authority: addr, Path: "/new"}); !errors.Is(err, ErrConnClosed) {
+		t.Errorf("new call on a going-away connection: want ErrConnClosed, got %v", err)
+	}
+	if nc, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		nc.Close()
+		t.Error("a new connection was accepted after Shutdown began")
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Shutdown returned (%v) before the in-flight call finished", err)
+	default:
+	}
+	close(release)
+	if err := <-inFlight; err != nil {
+		t.Fatalf("in-flight call dropped by Shutdown: %v", err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 }

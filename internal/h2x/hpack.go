@@ -1,5 +1,5 @@
 // Package h2x is a purpose-built cleartext HTTP/2 engine for the h2b
-// binding's multiplexed call fast path. The standard library's HTTP/2
+// binding's multiplexed calls. The standard library's HTTP/2
 // stack is a general server: every call crosses a frame-scheduling
 // goroutine on the server and a write-coalescing mutex plus read-loop
 // handoff on the client, which on the echo workload costs several times
@@ -8,16 +8,19 @@
 // but specializes for the call pattern the binding needs: small
 // request/reply bodies, headers encoded without a dynamic HPACK table,
 // responses written directly from the handler goroutine, and one
-// long-lived TCP connection multiplexing concurrent calls as streams.
+// long-lived TCP connection multiplexing concurrent calls as streams. A
+// Server shares its listener with net/http (Start) and drains with
+// GOAWAY (Shutdown).
 //
 // What is deliberately not implemented: server push (disabled via
 // SETTINGS), priorities (frames are ignored, as RFC 9113 deprecates
 // them), trailers, and padding emission (received padding is handled).
 // HPACK encoding never uses the dynamic table or Huffman coding — both
 // are optional for encoders — and both connection halves advertise
-// SETTINGS_HEADER_TABLE_SIZE = 0, which forces the peer's encoder into
-// the same stateless subset; the decoder still handles Huffman-coded
-// strings and table-size updates, which peers may always send.
+// SETTINGS_HEADER_TABLE_SIZE = 0, which moves the peer's encoder into
+// the same stateless subset once it has read that setting; the decoder
+// still handles Huffman-coded strings, table-size updates and the
+// dynamic entries a peer may add before then.
 package h2x
 
 import (
@@ -193,14 +196,24 @@ func huffmanDecode(in []byte) ([]byte, error) {
 	return out, nil
 }
 
-// hpackDecoder decodes one header block. Both halves of this engine
-// advertise SETTINGS_HEADER_TABLE_SIZE = 0, so a conforming peer encoder
-// cannot reference dynamic entries; incremental-indexing literals are
-// still accepted (adding to a zero-size table evicts immediately, which
-// is legal), as are table-size updates down to zero.
+// hpackDecoder decodes the header blocks one peer sends on a
+// connection, in arrival order. Both halves of this engine advertise
+// SETTINGS_HEADER_TABLE_SIZE = 0, but a peer may encode with the
+// protocol's default 4096-octet dynamic table until it has read that
+// setting (RFC 9113 §6.5.3): net/http's client does so for the requests
+// it sends right behind its preface. The decoder therefore keeps the
+// dynamic table of RFC 7541 §2.3.2, bounded by that default.
 type hpackDecoder struct {
-	buf []byte
+	buf     []byte
+	dynamic [][2]string // oldest first; HPACK index 62 is the newest
+	size    uint64      // RFC 7541 §4.1 size of dynamic
+	maxSize uint64      // the limit the last table-size update set
 }
+
+// hpackDefaultTableSize is SETTINGS_HEADER_TABLE_SIZE's initial value.
+const hpackDefaultTableSize = 4096
+
+func newHPACKDecoder() hpackDecoder { return hpackDecoder{maxSize: hpackDefaultTableSize} }
 
 var errHPACK = errors.New("h2x: malformed header block")
 
@@ -260,19 +273,21 @@ func (d *hpackDecoder) next() (name, value string, done bool, err error) {
 		if err != nil {
 			return "", "", false, err
 		}
-		if idx == 0 || idx >= uint64(len(staticTable)) {
-			return "", "", false, fmt.Errorf("%w: index %d outside the static table", errHPACK, idx)
+		e, err := d.entry(idx)
+		if err != nil {
+			return "", "", false, err
 		}
-		e := staticTable[idx]
 		return e[0], e[1], false, nil
 	case b&0xe0 == 0x20: // dynamic table size update
 		size, _, err := d.readVarint(5)
 		if err != nil {
 			return "", "", false, err
 		}
-		if size != 0 {
-			return "", "", false, fmt.Errorf("%w: table size %d exceeds the advertised 0", errHPACK, size)
+		if size > hpackDefaultTableSize {
+			return "", "", false, fmt.Errorf("%w: table size %d exceeds %d", errHPACK, size, hpackDefaultTableSize)
 		}
+		d.maxSize = size
+		d.evict(0)
 		return d.next()
 	default: // literal: with incremental indexing (0x40), without (0x00), never-indexed (0x10)
 		prefix := uint8(4)
@@ -284,23 +299,66 @@ func (d *hpackDecoder) next() (name, value string, done bool, err error) {
 			return "", "", false, err
 		}
 		if nameIdx > 0 {
-			if nameIdx >= uint64(len(staticTable)) {
-				return "", "", false, fmt.Errorf("%w: name index %d outside the static table", errHPACK, nameIdx)
+			e, err := d.entry(nameIdx)
+			if err != nil {
+				return "", "", false, err
 			}
-			name = staticTable[nameIdx][0]
+			name = e[0]
 		} else if name, err = d.readString(); err != nil {
 			return "", "", false, err
 		}
 		if value, err = d.readString(); err != nil {
 			return "", "", false, err
 		}
+		if b&0x40 != 0 {
+			d.add(name, value)
+		}
 		return name, value, false, nil
 	}
 }
 
-// decodeHeaderBlock decodes a complete header block into field pairs.
-func decodeHeaderBlock(block []byte) ([][2]string, error) {
-	d := hpackDecoder{buf: block}
+// entry resolves an HPACK index against the static, then the dynamic
+// table.
+func (d *hpackDecoder) entry(idx uint64) ([2]string, error) {
+	if idx > 0 && idx < uint64(len(staticTable)) {
+		return staticTable[idx], nil
+	}
+	if n := uint64(len(staticTable)); idx >= n && idx-n < uint64(len(d.dynamic)) {
+		return d.dynamic[uint64(len(d.dynamic))-1-(idx-n)], nil
+	}
+	return [2]string{}, fmt.Errorf("%w: index %d outside the header tables", errHPACK, idx)
+}
+
+// add inserts a field into the dynamic table, evicting the oldest
+// entries to make room; a field larger than the table empties it
+// (RFC 7541 §4.4).
+func (d *hpackDecoder) add(name, value string) {
+	n := uint64(len(name) + len(value) + 32)
+	if n > d.maxSize {
+		d.dynamic, d.size = d.dynamic[:0], 0
+		return
+	}
+	d.evict(n)
+	d.dynamic = append(d.dynamic, [2]string{name, value})
+	d.size += n
+}
+
+// evict drops the oldest entries until room more octets fit.
+func (d *hpackDecoder) evict(room uint64) {
+	drop := 0
+	for d.size+room > d.maxSize && drop < len(d.dynamic) {
+		e := d.dynamic[drop]
+		d.size -= uint64(len(e[0]) + len(e[1]) + 32)
+		drop++
+	}
+	if drop > 0 {
+		d.dynamic = append(d.dynamic[:0], d.dynamic[drop:]...)
+	}
+}
+
+// decode decodes a complete header block into field pairs.
+func (d *hpackDecoder) decode(block []byte) ([][2]string, error) {
+	d.buf = block
 	var out [][2]string
 	for {
 		name, value, done, err := d.next()

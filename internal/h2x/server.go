@@ -3,10 +3,12 @@ package h2x
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // Handler serves one complete call. It runs on its own goroutine per
@@ -27,14 +29,17 @@ func (f HandlerFunc) ServeH2(ctx context.Context, req *Request) *Response { retu
 // (smaller) limit, this one just bounds engine memory.
 const maxServerBody = 32 << 20
 
-// Server accepts prior-knowledge cleartext HTTP/2 connections and
-// serves calls through a Handler.
+// Server serves calls through a Handler on connections that open with
+// the prior-knowledge cleartext HTTP/2 preface. It shares its listener
+// with net/http: Start routes every other connection to a fallback
+// listener.
 type Server struct {
 	handler Handler
 
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[*serverConn]struct{}
+	draining bool // Shutdown began: new connections are refused
 	closed   bool
 }
 
@@ -43,47 +48,124 @@ func NewServer(h Handler) *Server {
 	return &Server{handler: h, conns: make(map[*serverConn]struct{})}
 }
 
-// Listen starts serving on addr ("127.0.0.1:0" for an ephemeral port)
-// and returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
+// Start serves l in the background and returns the listener net/http
+// should serve: a connection that opens with the HTTP/2 client preface
+// is the engine's, every other one is handed to the fallback with the
+// octets read so far replayed. The decision falls on the first octet
+// that differs from the preface, so a short HTTP/1.1 request is routed
+// without waiting for 24 octets; sniffTimeout bounds a peer that sends
+// a partial preface (or nothing) and then stalls.
+func (s *Server) Start(l net.Listener, sniffTimeout time.Duration) net.Listener {
+	fb := &fallbackListener{addr: l.Addr(), conns: make(chan net.Conn), done: make(chan struct{})}
 	s.mu.Lock()
-	if s.closed {
+	if s.closed || s.draining {
 		s.mu.Unlock()
 		_ = l.Close()
-		return "", fmt.Errorf("h2x: server closed")
+		_ = fb.Close()
+		return fb
 	}
 	s.listener = l
 	s.mu.Unlock()
-	go s.acceptLoop(l)
-	return l.Addr().String(), nil
+	go s.acceptLoop(l, fb, sniffTimeout)
+	return fb
 }
 
-func (s *Server) acceptLoop(l net.Listener) {
+func (s *Server) acceptLoop(l net.Listener, fb *fallbackListener, sniffTimeout time.Duration) {
+	defer fb.Close()
+	var pause time.Duration
 	for {
 		nc, err := l.Accept()
 		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			// Out of descriptors or a similar transient failure: back
+			// off instead of spinning (net/http's accept policy).
+			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+			time.Sleep(pause)
+			continue
+		}
+		pause = 0
+		go s.route(nc, fb, sniffTimeout)
+	}
+}
+
+// route sniffs one accepted connection and hands it to the engine or
+// the fallback listener.
+func (s *Server) route(nc net.Conn, fb *fallbackListener, sniffTimeout time.Duration) {
+	var buf [len(clientPreface)]byte
+	_ = nc.SetReadDeadline(time.Now().Add(sniffTimeout))
+	for n := 0; n < len(buf); {
+		m, err := nc.Read(buf[n:])
+		n += m
+		if string(buf[:n]) != clientPreface[:n] {
+			_ = nc.SetReadDeadline(time.Time{})
+			fb.deliver(&replayConn{Conn: nc, prefix: buf[:n]})
 			return
 		}
-		c := &serverConn{
-			srv:     s,
-			conn:    nc,
-			br:      bufio.NewReaderSize(nc, 1<<16),
-			streams: make(map[uint32]*serverStream),
-			flow:    newFlowState(),
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		if err != nil {
 			_ = nc.Close()
 			return
 		}
-		s.conns[c] = struct{}{}
+	}
+	_ = nc.SetReadDeadline(time.Time{})
+	c := &serverConn{
+		srv:     s,
+		conn:    nc,
+		br:      bufio.NewReaderSize(nc, 1<<16),
+		streams: make(map[uint32]*serverStream),
+		flow:    newFlowState(),
+		hdec:    newHPACKDecoder(),
+	}
+	s.mu.Lock()
+	if s.closed || s.draining {
 		s.mu.Unlock()
-		go c.serve()
+		_ = nc.Close()
+		return
+	}
+	s.conns[c] = struct{}{}
+	s.mu.Unlock()
+	c.serve()
+}
+
+// Shutdown drains the server: the listener closes, every connection is
+// sent GOAWAY naming the last stream it accepted, later streams are
+// refused, and Shutdown waits — bounded by ctx — for the accepted
+// streams to finish. A drained connection is half-closed, so its client
+// reads the last replies and then EOF.
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.mu.Lock()
+	s.draining = true
+	l := s.listener
+	conns := make([]*serverConn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	s.mu.Unlock()
+	if l != nil {
+		_ = l.Close()
+	}
+	for _, c := range conns {
+		c.sendGoAway()
+	}
+	pause := time.Millisecond
+	for {
+		busy := conns[:0]
+		for _, c := range conns {
+			if !c.closeIfIdle() {
+				busy = append(busy, c)
+			}
+		}
+		conns = busy
+		if len(conns) == 0 {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(pause):
+		}
+		pause = min(2*pause, 50*time.Millisecond)
 	}
 }
 
@@ -113,6 +195,61 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// fallbackListener hands net/http the connections that are not HTTP/2.
+type fallbackListener struct {
+	addr  net.Addr
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *fallbackListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *fallbackListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *fallbackListener) Addr() net.Addr { return l.addr }
+
+func (l *fallbackListener) deliver(c net.Conn) {
+	select {
+	case l.conns <- c:
+	case <-l.done:
+		_ = c.Close()
+	}
+}
+
+// replayConn returns the sniffed octets before reading on.
+type replayConn struct {
+	net.Conn
+	prefix []byte
+}
+
+func (c *replayConn) Read(p []byte) (int, error) {
+	if len(c.prefix) > 0 {
+		n := copy(p, c.prefix)
+		c.prefix = c.prefix[n:]
+		return n, nil
+	}
+	return c.Conn.Read(p)
+}
+
+// CloseWrite passes net/http's graceful half-close through the wrapper.
+func (c *replayConn) CloseWrite() error {
+	if cw, ok := c.Conn.(interface{ CloseWrite() error }); ok {
+		return cw.CloseWrite()
+	}
+	return errors.ErrUnsupported
+}
+
 // serverConn is one accepted connection.
 type serverConn struct {
 	srv  *Server
@@ -122,20 +259,24 @@ type serverConn struct {
 	wmu  sync.Mutex
 	wbuf []byte
 
-	mu      sync.Mutex
-	streams map[uint32]*serverStream
+	mu        sync.Mutex
+	streams   map[uint32]*serverStream // open: accepted, reply not yet sent
+	lastID    uint32                   // highest stream ID accepted
+	goingAway bool                     // GOAWAY sent: later streams are refused
 
 	flow *flowState
 
 	recvMu   sync.Mutex
 	recvDebt uint32
+	hdec     hpackDecoder // read loop only
 }
 
 // serverStream is one request being assembled (or served).
 type serverStream struct {
-	id     uint32
-	req    Request
-	cancel context.CancelFunc
+	id         uint32
+	req        Request
+	cancel     context.CancelFunc
+	dispatched bool
 }
 
 func (c *serverConn) serve() {
@@ -146,11 +287,7 @@ func (c *serverConn) serve() {
 		c.teardown()
 	}()
 
-	// Connection preface, then our settings.
-	preface := make([]byte, len(clientPreface))
-	if _, err := readFull(c.br, preface); err != nil || string(preface) != clientPreface {
-		return
-	}
+	// Start consumed the connection preface; send our settings.
 	b := appendSettings(nil,
 		[2]uint32{settingHeaderTableSize, 0},
 		[2]uint32{settingMaxConcurrentStreams, maxConcurrentStream},
@@ -264,6 +401,50 @@ func (c *serverConn) goAway(code uint32) {
 	c.wmu.Unlock()
 }
 
+// sendGoAway starts a graceful close: GOAWAY names the last accepted
+// stream, and every stream the peer opens after it is refused.
+func (c *serverConn) sendGoAway() {
+	c.mu.Lock()
+	if c.goingAway {
+		c.mu.Unlock()
+		return
+	}
+	c.goingAway = true
+	last := c.lastID
+	c.mu.Unlock()
+	c.wmu.Lock()
+	buf := appendGoAway(c.wbuf[:0], last, errCodeNo)
+	_, _ = c.conn.Write(buf)
+	c.wbuf = buf
+	c.wmu.Unlock()
+}
+
+// closeIfIdle half-closes a draining connection once its accepted
+// streams are answered, reporting whether it did.
+func (c *serverConn) closeIfIdle() bool {
+	c.mu.Lock()
+	idle := len(c.streams) == 0
+	c.mu.Unlock()
+	if !idle {
+		return false
+	}
+	if cw, ok := c.conn.(interface{ CloseWrite() error }); ok {
+		_ = cw.CloseWrite()
+	} else {
+		_ = c.conn.Close()
+	}
+	return true
+}
+
+// writeRST resets one stream.
+func (c *serverConn) writeRST(id, code uint32) {
+	c.wmu.Lock()
+	buf := appendRSTStream(c.wbuf[:0], id, code)
+	_, _ = c.conn.Write(buf)
+	c.wbuf = buf
+	c.wmu.Unlock()
+}
+
 // handleHeaders assembles a request's header block (reading
 // CONTINUATIONs inline if the peer splits it) and either dispatches the
 // request (END_STREAM set) or parks the stream awaiting DATA.
@@ -301,7 +482,7 @@ func (c *serverConn) handleHeaders(connCtx context.Context, hdr frameHeader, pay
 		endHeaders = ch.flags&flagEndHeaders != 0
 	}
 
-	fields, err := decodeHeaderBlock(block)
+	fields, err := c.hdec.decode(block)
 	if err != nil {
 		return err
 	}
@@ -323,13 +504,19 @@ func (c *serverConn) handleHeaders(connCtx context.Context, hdr frameHeader, pay
 		}
 	}
 
+	c.mu.Lock()
+	if c.goingAway {
+		c.mu.Unlock()
+		c.writeRST(hdr.streamID, errCodeRefusedStream)
+		return nil
+	}
+	c.lastID = hdr.streamID
+	c.streams[hdr.streamID] = s
+	c.mu.Unlock()
 	if hdr.flags&flagEndStream != 0 {
 		c.dispatch(connCtx, s)
 		return nil
 	}
-	c.mu.Lock()
-	c.streams[hdr.streamID] = s
-	c.mu.Unlock()
 	c.flow.mu.Lock()
 	c.flow.streamWindow[hdr.streamID] = c.flow.initialWindow
 	c.flow.mu.Unlock()
@@ -349,21 +536,17 @@ func (c *serverConn) handleData(hdr frameHeader, payload []byte) error {
 	}
 	c.mu.Lock()
 	s := c.streams[hdr.streamID]
+	if s != nil && s.dispatched {
+		s = nil // DATA after END_STREAM; the handler owns the body now
+	}
 	if s != nil {
 		s.req.Body = append(s.req.Body, body...)
 		if len(s.req.Body) > maxServerBody {
 			delete(c.streams, hdr.streamID)
 			c.mu.Unlock()
 			c.flow.forget(hdr.streamID)
-			c.wmu.Lock()
-			buf := appendRSTStream(c.wbuf[:0], hdr.streamID, errCodeEnhanceYourCalm)
-			_, _ = c.conn.Write(buf)
-			c.wbuf = buf
-			c.wmu.Unlock()
+			c.writeRST(hdr.streamID, errCodeEnhanceYourCalm)
 			return nil
-		}
-		if hdr.flags&flagEndStream != 0 {
-			delete(c.streams, hdr.streamID)
 		}
 	}
 	c.mu.Unlock()
@@ -381,7 +564,8 @@ func (c *serverConn) handleData(hdr frameHeader, payload []byte) error {
 }
 
 // dispatch runs the handler on its own goroutine and writes the
-// response directly from it.
+// response directly from it. The stream stays registered (open, and
+// cancellable by RST_STREAM) until its response is written.
 func (c *serverConn) dispatch(connCtx context.Context, s *serverStream) {
 	c.flow.mu.Lock()
 	if _, ok := c.flow.streamWindow[s.id]; !ok {
@@ -390,27 +574,25 @@ func (c *serverConn) dispatch(connCtx context.Context, s *serverStream) {
 	c.flow.mu.Unlock()
 	ctx, cancel := context.WithCancel(connCtx)
 	s.cancel = cancel
-	c.mu.Lock()
-	c.streams[s.id] = s // re-register for RST-driven cancellation
-	c.mu.Unlock()
+	s.dispatched = true
 	go func() {
-		defer cancel()
+		defer func() {
+			cancel()
+			c.flow.forget(s.id)
+			c.mu.Lock()
+			delete(c.streams, s.id)
+			c.mu.Unlock()
+		}()
 		resp := c.srv.handler.ServeH2(ctx, &s.req)
-		c.mu.Lock()
-		delete(c.streams, s.id)
-		c.mu.Unlock()
 		if resp != nil && resp.Done != nil {
 			// The response octets are copied into the connection's write
 			// buffer before writeResponse returns, so the handler's
 			// pooled Body buffer is released either way.
 			defer resp.Done()
 		}
-		if resp == nil || ctx.Err() != nil {
-			c.flow.forget(s.id)
-			return
+		if resp != nil && ctx.Err() == nil {
+			c.writeResponse(ctx, s.id, resp)
 		}
-		c.writeResponse(ctx, s.id, resp)
-		c.flow.forget(s.id)
 	}()
 }
 

@@ -5,12 +5,13 @@ import "net/http"
 // Cleartext HTTP/2 (h2c) on the serving side.
 //
 // The watch plane's scaling story is many held streams from few client
-// processes: SSE watch streams, long-polls, and the h2b binding's
-// multiplexed CDR calls all want to share one TCP connection per
-// client-server pair instead of one per stream. Go 1.24's net/http can
-// serve unencrypted HTTP/2 natively (Server.Protocols), sniffing the h2
-// client preface per connection, so HTTP/1.1 clients keep working on the
-// same listener — no TLS requirement, no second port, no new dependency.
+// processes: SSE watch streams and long-polls want to share one TCP
+// connection per client-server pair instead of one per stream. Go 1.24's
+// net/http can serve unencrypted HTTP/2 natively (Server.Protocols),
+// sniffing the h2 client preface per connection, so HTTP/1.1 clients keep
+// working on the same listener — no TLS requirement, no second port, no
+// new dependency. (The Manager's shared endpoint listener does not use
+// this: its HTTP/2 connections carry h2b calls and go to the h2x engine.)
 
 // H2CHeader is the response header an h2c-capable listener sets on its
 // HTTP/1.1 responses, advertising that the same origin accepts
@@ -28,25 +29,23 @@ const H2CSupported = "supported"
 // EnableH2C configures srv to accept cleartext HTTP/2 alongside HTTP/1.1
 // on the same listener, with the stream and flow-control budgets sized for
 // the watch plane: enough concurrent streams that one client process can
-// hold hundreds of watches (or in-flight h2b calls) on one connection, and
-// per-stream receive windows that don't stall interface-document-sized
-// bodies. Both the Interface Server and the Manager's shared HTTP endpoint
-// server run through this, so every binding mounted on either listener is
-// reachable over h2c with HTTP/1.1 fallback for free. HTTP/1.1 responses
-// gain the H2CHeader advertisement so upgrading clients find the h2c path.
-// Call it after srv.Handler is set.
+// hold hundreds of watches on one connection, and per-stream receive
+// windows that don't stall interface-document-sized bodies. The Interface
+// Server runs through this. HTTP/1.1 responses gain the H2CHeader
+// advertisement so upgrading clients find the h2c path. Call it after
+// srv.Handler is set.
 func EnableH2C(srv *http.Server) {
 	var p http.Protocols
 	p.SetHTTP1(true)
 	p.SetUnencryptedHTTP2(true)
 	srv.Protocols = &p
 	srv.HTTP2 = &http.HTTP2Config{
-		// One client process may hold many watch streams plus a burst of
-		// concurrent h2b calls on a single connection.
+		// One client process may hold many watch streams on a single
+		// connection.
 		MaxConcurrentStreams: 512,
 		// Generous connection- and stream-level receive windows: interface
-		// documents and CDR call bodies are small, but a replay burst after
-		// reconnect delivers many of them back to back.
+		// documents are small, but a replay burst after reconnect delivers
+		// many of them back to back.
 		MaxReceiveBufferPerConnection: 1 << 20,
 		MaxReceiveBufferPerStream:     1 << 18,
 	}

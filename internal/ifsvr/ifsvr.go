@@ -492,13 +492,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Fetch is FetchContext with a background context.
-//
-// Deprecated: use FetchContext so the round-trip can be cancelled.
-func Fetch(client *http.Client, url string) (Document, error) {
-	return FetchContext(context.Background(), client, url)
-}
-
 // FetchContext retrieves a document over HTTP — the client-side counterpart
 // used by the CDE. Cancelling ctx aborts the round-trip.
 func FetchContext(ctx context.Context, client *http.Client, url string) (Document, error) {

@@ -14,12 +14,6 @@ import (
 // ErrStoreClosed reports an operation on a closed publication store.
 var ErrStoreClosed = errors.New("ifsvr: publication store closed")
 
-// ErrClosed is the former name of ErrStoreClosed (the in-memory store it
-// named was folded into Store).
-//
-// Deprecated: match ErrStoreClosed.
-var ErrClosed = ErrStoreClosed
-
 // DefaultHistoryLen is the journal capacity a store is created with: how
 // many committed versions (across all paths) are retained for Replay.
 const DefaultHistoryLen = 256

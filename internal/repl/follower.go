@@ -156,6 +156,10 @@ func OpenFollower(cfg FollowerConfig) (*Follower, error) {
 		applied:   make([]uint64, hello.Shards),
 		leaderLSN: append([]uint64(nil), hello.LSNs...),
 	}
+	// The read-only view exists from the start, so callers can configure
+	// it before Serve starts it listening.
+	f.iface = ifsvr.NewView(st)
+	f.iface.LeaderURL = f.leader
 	// Serve the LEADER's restart generation, not our own incarnation
 	// count: a watcher failing over between replicas must not misread
 	// the replica switch as a state-loss restart.
@@ -209,12 +213,11 @@ func handshake(ctx context.Context, hc *http.Client, leader string) (Hello, erro
 // Serve starts the follower's read-only Interface Server on addr and
 // returns its base URL.
 func (f *Follower) Serve(addr string) (string, error) {
-	f.iface = ifsvr.NewView(f.store)
-	f.iface.LeaderURL = f.leader
 	return f.iface.Start(addr)
 }
 
-// Iface returns the follower's Interface Server (nil before Serve).
+// Iface returns the follower's read-only Interface Server view; Serve
+// starts it listening.
 func (f *Follower) Iface() *ifsvr.Server { return f.iface }
 
 // Store returns the follower's local store.
@@ -238,9 +241,7 @@ func (f *Follower) Close() {
 	}
 	f.wg.Wait()
 	f.saveCursor()
-	if f.iface != nil {
-		_ = f.iface.Close()
-	}
+	_ = f.iface.Close()
 	f.store.Close()
 }
 
@@ -251,9 +252,7 @@ func (f *Follower) Crash() error {
 		f.cancel()
 	}
 	f.wg.Wait()
-	if f.iface != nil {
-		_ = f.iface.Close()
-	}
+	_ = f.iface.Close()
 	return f.store.Crash()
 }
 

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -35,7 +36,7 @@ func TestClientCallSuccess(t *testing.T) {
 		_, _ = io.WriteString(w, env)
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	got, err := c.Call("greet", nil, dyn.StringT)
+	got, err := c.CallContext(context.Background(), "greet", nil, dyn.StringT)
 	if err != nil || got.Str() != "hello" {
 		t.Errorf("Call = %v, %v", got, err)
 	}
@@ -47,12 +48,12 @@ func TestClientCallVoidResult(t *testing.T) {
 		_, _ = io.WriteString(w, env)
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	got, err := c.Call("reset", nil, dyn.Void)
+	got, err := c.CallContext(context.Background(), "reset", nil, dyn.Void)
 	if err != nil || !got.IsVoid() {
 		t.Errorf("void call = %v, %v", got, err)
 	}
 	// nil result type behaves like void.
-	if _, err := c.Call("reset", nil, nil); err != nil {
+	if _, err := c.CallContext(context.Background(), "reset", nil, nil); err != nil {
 		t.Errorf("nil result type: %v", err)
 	}
 }
@@ -63,7 +64,7 @@ func TestClientCallFaultWithHTTP500(t *testing.T) {
 		_, _ = io.WriteString(w, BuildFault(&Fault{Code: "soap:Server", String: FaultNonExistentMethod}))
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	_, err := c.Call("x", nil, dyn.Int32T)
+	_, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T)
 	if !IsNonExistentMethod(err) {
 		t.Errorf("fault = %v", err)
 	}
@@ -74,7 +75,7 @@ func TestClientCallHTTPErrorWithoutEnvelope(t *testing.T) {
 		http.Error(w, "gateway exploded", http.StatusBadGateway)
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	_, err := c.Call("x", nil, dyn.Int32T)
+	_, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T)
 	if err == nil || !strings.Contains(err.Error(), "HTTP 502") {
 		t.Errorf("HTTP error = %v", err)
 	}
@@ -85,7 +86,7 @@ func TestClientCallGarbage200(t *testing.T) {
 		_, _ = io.WriteString(w, "this is not xml")
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	if _, err := c.Call("x", nil, dyn.Int32T); err == nil {
+	if _, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T); err == nil {
 		t.Error("garbage 200 should fail")
 	}
 }
@@ -98,21 +99,21 @@ func TestClientCallMissingReturn(t *testing.T) {
 		_, _ = io.WriteString(w, env)
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	if _, err := c.Call("x", nil, dyn.Int32T); err == nil {
+	if _, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T); err == nil {
 		t.Error("missing return element should fail")
 	}
 }
 
 func TestClientUnreachable(t *testing.T) {
 	c := &Client{Endpoint: "http://127.0.0.1:1/", ServiceNS: "urn:S"}
-	if _, err := c.Call("x", nil, dyn.Int32T); err == nil {
+	if _, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T); err == nil {
 		t.Error("unreachable endpoint should fail")
 	}
 }
 
 func TestClientBadEndpointURL(t *testing.T) {
 	c := &Client{Endpoint: "://not-a-url", ServiceNS: "urn:S"}
-	if _, err := c.Call("x", nil, dyn.Int32T); err == nil {
+	if _, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T); err == nil {
 		t.Error("invalid URL should fail")
 	}
 }

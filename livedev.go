@@ -63,8 +63,6 @@
 // Dial fetches the interface document once and sniffs which registered
 // binding it belongs to (WSDL -> SOAP, IDL/IOR -> CORBA, JSON document ->
 // JSON, h2b descriptor -> H2B), or obeys an explicit WithBinding option.
-// The context-free wrappers of the v1 API (ConnectSOAP, ConnectCORBA,
-// Client.Call) remain as thin deprecated shims.
 //
 // Concurrent callers should consider the h2b binding (H2BBinding): its
 // CDR-over-HTTP/2 wire format multiplexes any number of in-flight calls
@@ -250,15 +248,12 @@ type (
 // up purely through RegisterBinding.
 //
 // internal/h2b is the binary worked example: the same contract carrying
-// CDR-encoded bodies over HTTP/2 streams. It shows the two degrees of
-// freedom HTTP-based bindings have beyond jsonb — a binding may own a
-// dedicated listener next to its MountHTTP mount (h2b's multiplexed fast
-// path, the way CORBA owns its IIOP port) as long as Close releases it,
-// and its interface document may carry extra transport keys (h2b's
-// "mux_endpoint") provided Describe still recognizes documents without
-// them. Neither needs core or cde edits: both halves arrive through
-// RegisterBinding like any other technology. See docs/h2b-protocol.md
-// for its wire format.
+// CDR-encoded bodies over HTTP/2 streams. It mounts its call handler with
+// Manager.MountH2 on the same shared endpoint listener jsonb's MountHTTP
+// uses, so it needs no listener of its own and no extra document key;
+// its document's endpoint URL is the HTTP/2 address and :path. Neither
+// half needs core or cde edits: both arrive through RegisterBinding like
+// any other technology. See docs/h2b-protocol.md for its wire format.
 type Binding interface {
 	// Name is the technology name ("SOAP", "CORBA", "JSON", ...).
 	Name() string
@@ -447,28 +442,6 @@ func NewClass(name string) *Class { return dyn.NewClass(name) }
 
 // NewManager creates and starts an SDE Manager.
 func NewManager(cfg Config) (*Manager, error) { return core.NewManager(cfg) }
-
-// ConnectSOAP builds a live client from a published WSDL document URL.
-//
-// Deprecated: use Dial, which adds context, sniffing, and options.
-func ConnectSOAP(wsdlURL string) (*Client, error) {
-	return cde.NewSOAPClient(wsdlURL, nil)
-}
-
-// ConnectSOAPWithHTTP is ConnectSOAP with a custom HTTP client.
-//
-// Deprecated: use Dial with WithHTTPClient.
-func ConnectSOAPWithHTTP(wsdlURL string, hc *http.Client) (*Client, error) {
-	return cde.NewSOAPClient(wsdlURL, hc)
-}
-
-// ConnectCORBA builds a live client from published CORBA-IDL and IOR URLs.
-//
-// Deprecated: use Dial with WithAuxURL (or the /idl/ <-> /ior/ path
-// convention).
-func ConnectCORBA(idlURL, iorURL string) (*Client, error) {
-	return cde.NewCORBAClient(idlURL, iorURL, nil)
-}
 
 // Value constructors.
 
